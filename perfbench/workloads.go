@@ -27,7 +27,7 @@ const (
 	groupClients = 2
 
 	streamWindow = 100 * time.Millisecond
-	streamRate   = 200000 // clicks/s offered on a fixed schedule (see README: Stream rate)
+	streamRate   = 50000 // clicks/s offered on a fixed schedule (see README: Stream rate)
 )
 
 // params are one run's settings.
