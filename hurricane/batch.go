@@ -2,6 +2,7 @@ package hurricane
 
 import (
 	"encoding/binary"
+	"fmt"
 
 	"repro/internal/bag"
 	"repro/internal/chunk"
@@ -12,253 +13,78 @@ import (
 // are the batch counterparts of ForEach and PartitionedWriter.Write: a
 // task that consumes and produces whole column batches pays the codec,
 // routing, and sketch costs once per batch instead of once per record.
-// Both fall back to the row path transparently — row chunks in the input
-// decode through the same loop, and non-columnar codecs write rows — so
-// batch tasks and row tasks interoperate on the same bags.
+// Both go through the one column contract (chunk.ColumnCodec): batch
+// chunks need a codec with a column view to be read, and WriteBatch
+// needs one to write.
 
-// ForEachBatch drains input i of the task, invoking fn with successive
-// value batches. Batch chunks decode through the codec's columnar path
-// (one allocation per column per batch); row chunks arrive as one batch
-// per chunk. The slice is reused between calls — fn must not retain it.
+// ForEachBatch drains input i of the task, invoking fn with the values
+// of each chunk: a batch chunk decodes column by column, a row chunk
+// record by record. The slice is reused between calls — fn must not
+// retain it.
 func ForEachBatch[T any](tc *TaskCtx, input int, codec Codec[T], fn func([]T) error) error {
-	var (
-		vec []T
-		bt  chunk.Batch
-	)
-	cc, columnar := chunk.ColumnarOf(codec)
-	var scratch chunk.ScratchColumnCodec[T]
-	if columnar {
-		// This resolved view is exclusive to the loop, so the
-		// scratch-backed decode is safe and skips two column allocations
-		// per batch.
-		scratch, _ = any(cc).(chunk.ScratchColumnCodec[T])
-	}
+	return drain(func() (chunk.Chunk, error) { return tc.Remove(input) }, codec, fn)
+}
+
+// drain decodes every chunk next yields, until bag.ErrEmpty, and hands
+// each chunk's values to fn. It is the one read loop of the typed API.
+func drain[T any](next func() (chunk.Chunk, error), codec Codec[T], fn func([]T) error) error {
+	d := chunk.NewDecoder(codec)
 	for {
-		c, err := tc.Remove(input)
+		c, err := next()
 		if err == bag.ErrEmpty {
 			return nil
 		}
 		if err != nil {
 			return err
 		}
-		vec = vec[:0]
-		if columnar && chunk.IsBatch(c) {
-			p, err := chunk.DecodeBatch(c, &bt)
-			if err != nil {
-				return err
-			}
-			if scratch != nil {
-				vec, _, err = scratch.DecodeColumnScratch(p, 0, vec)
-			} else {
-				vec, _, err = cc.DecodeColumn(p, 0, vec)
-			}
-			if err != nil {
-				return err
-			}
-		} else {
-			// Row chunks (and batch chunks under non-columnar codecs)
-			// re-frame record-at-a-time; the whole chunk still reaches fn
-			// as one batch.
-			recs, err := chunk.Records(c)
-			if err != nil {
-				return err
-			}
-			for _, rec := range recs {
-				v, _, err := codec.Decode(rec)
-				if err != nil {
-					return err
-				}
-				vec = append(vec, v)
-			}
-		}
-		if len(vec) == 0 {
-			continue
-		}
-		if err := fn(vec); err != nil {
+		vs, err := d.Decode(c)
+		if err != nil {
 			return err
+		}
+		if len(vs) > 0 {
+			if err := fn(vs); err != nil {
+				return err
+			}
 		}
 	}
 }
 
 // WriteBatch routes a batch of records in one pass: the partition map is
 // consulted once, the routing vector is computed for the whole batch,
-// rows are scattered into per-partition column builders, and the edge's
-// sketch receives exact per-key counts in bulk. Requires a columnar
-// codec; otherwise it degrades to per-record Write calls.
+// rows are scattered into per-leaf column builders, and the edge's sketch
+// receives exact per-key counts in bulk. It returns an error wrapping
+// ErrNotColumnar when the writer's codec has no column view.
 func (pw *PartitionedWriter[T]) WriteBatch(vs []T) error {
 	if len(vs) == 0 {
 		return nil
 	}
-	if pw.cc == nil && !pw.rowOnly {
-		if cc, ok := chunk.ColumnarOf(pw.codec); ok {
-			pw.cc = cc
-			pw.kinds = chunk.KindsOf(cc)
-			pw.leaves = make(map[shuffle.RouteRef]*chunk.BatchBuilder)
-			if bc, ok := chunk.BulkOf(cc); ok {
-				pw.bulk = bc
-			}
-		} else {
-			pw.rowOnly = true
+	if pw.scatter == nil {
+		view, ok := chunk.ViewOf(pw.codec)
+		if !ok {
+			return fmt.Errorf("hurricane: WriteBatch: %w", chunk.ErrNotColumnar)
 		}
-	}
-	if pw.rowOnly {
-		for i := range vs {
-			if err := pw.Write(vs[i]); err != nil {
-				return err
-			}
-		}
-		return nil
+		pw.scatter = shuffle.NewBatchScatter(pw.w, view, pw.chunkSize)
 	}
 	var refs []shuffle.RouteRef
 	if pw.keyU64 != nil {
-		if cap(pw.u64keys) < len(vs) {
-			pw.u64keys = make([]uint64, len(vs))
-		}
-		pw.u64keys = pw.u64keys[:len(vs)]
+		pw.u64keys = pw.u64keys[:0]
 		for i := range vs {
-			pw.u64keys[i] = pw.keyU64(vs[i])
+			pw.u64keys = append(pw.u64keys, pw.keyU64(vs[i]))
 		}
 		refs = pw.w.PartitionBatchUint64(pw.u64keys)
 	} else {
 		refs = pw.w.PartitionBatch(len(vs), func(i int) []byte { return pw.key(vs[i]) })
 	}
-	if pw.bulk != nil {
-		return pw.scatterBulk(vs, refs)
-	}
-	for i, ref := range refs {
-		var b *chunk.BatchBuilder
-		if ref.Iso < 0 && ref.Sub < 0 {
-			// Base partition: dense-slice lookup, no map hashing.
-			for ref.Part >= len(pw.baseLeaves) {
-				pw.baseLeaves = append(pw.baseLeaves, nil)
-			}
-			if b = pw.baseLeaves[ref.Part]; b == nil {
-				b = chunk.GetBatchBuilder(0, pw.kinds)
-				pw.baseLeaves[ref.Part] = b
-			}
-		} else if b = pw.leaves[ref]; b == nil {
-			b = chunk.GetBatchBuilder(0, pw.kinds)
-			pw.leaves[ref] = b
-		}
-		pw.cc.EncodeColumn(b, 0, vs[i])
-		b.EndRow()
-		if b.Size() >= pw.chunkSize {
-			if err := pw.flushLeaf(ref, b); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return pw.scatter.Write(vs, refs)
 }
 
-// scatterBulk is WriteBatch's fast scatter for bulk-encodable codecs: it
-// groups the batch's row indices by routing decision, then encodes each
-// group column-major with one EncodeRows call — so the virtual dispatch,
-// row accounting, and chunk-size check run once per leaf per batch
-// instead of once per record. Row order within a leaf is stream order,
-// exactly as the per-record path produces.
-func (pw *PartitionedWriter[T]) scatterBulk(vs []T, refs []shuffle.RouteRef) error {
-	for i := range pw.baseIdx {
-		pw.baseIdx[i] = pw.baseIdx[i][:0]
-	}
-	mapped := false
-	for i, ref := range refs {
-		if ref.Iso < 0 && ref.Sub < 0 {
-			for ref.Part >= len(pw.baseIdx) {
-				pw.baseIdx = append(pw.baseIdx, nil)
-			}
-			pw.baseIdx[ref.Part] = append(pw.baseIdx[ref.Part], int32(i))
-		} else {
-			if pw.mapIdx == nil {
-				pw.mapIdx = make(map[shuffle.RouteRef][]int32)
-			}
-			pw.mapIdx[ref] = append(pw.mapIdx[ref], int32(i))
-			mapped = true
-		}
-	}
-	for p, idx := range pw.baseIdx {
-		if len(idx) == 0 {
-			continue
-		}
-		ref := shuffle.RouteRef{Iso: -1, Part: p, Sub: -1}
-		for ref.Part >= len(pw.baseLeaves) {
-			pw.baseLeaves = append(pw.baseLeaves, nil)
-		}
-		b := pw.baseLeaves[p]
-		if b == nil {
-			b = chunk.GetBatchBuilder(0, pw.kinds)
-			pw.baseLeaves[p] = b
-		}
-		pw.bulk.EncodeRows(b, 0, vs, idx)
-		b.EndRows(len(idx))
-		if b.Size() >= pw.chunkSize {
-			if err := pw.flushLeaf(ref, b); err != nil {
-				return err
-			}
-		}
-	}
-	if !mapped {
-		return nil
-	}
-	for ref, idx := range pw.mapIdx {
-		if len(idx) == 0 {
-			continue
-		}
-		b := pw.leaves[ref]
-		if b == nil {
-			b = chunk.GetBatchBuilder(0, pw.kinds)
-			pw.leaves[ref] = b
-		}
-		pw.bulk.EncodeRows(b, 0, vs, idx)
-		b.EndRows(len(idx))
-		pw.mapIdx[ref] = idx[:0]
-		if b.Size() >= pw.chunkSize {
-			if err := pw.flushLeaf(ref, b); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// flushLeaf encodes and inserts one partition's pending batch.
-func (pw *PartitionedWriter[T]) flushLeaf(ref shuffle.RouteRef, b *chunk.BatchBuilder) error {
-	rows := b.Rows()
-	if rows == 0 {
-		return nil
-	}
-	c := b.Encode()
-	b.Clear()
-	return pw.w.InsertBatchChunk(ref, c, rows)
-}
-
-// close flushes pending batches, returns their builders to the pool, and
-// closes the underlying shuffle writer. Registered as the task-finish
-// hook by NewPartitionedWriterWith.
+// close flushes pending batches and closes the shuffle writer.
+// Registered as the task-finish hook by NewPartitionedWriterWith.
 func (pw *PartitionedWriter[T]) close() error {
-	var firstErr error
-	for p, b := range pw.baseLeaves {
-		if b == nil {
-			continue
-		}
-		ref := shuffle.RouteRef{Iso: -1, Part: p, Sub: -1}
-		if err := pw.flushLeaf(ref, b); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		chunk.PutBatchBuilder(b)
-		pw.baseLeaves[p] = nil
+	if pw.scatter != nil {
+		return pw.scatter.Close()
 	}
-	for ref, b := range pw.leaves {
-		if err := pw.flushLeaf(ref, b); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		chunk.PutBatchBuilder(b)
-		delete(pw.leaves, ref)
-	}
-	if err := pw.w.Close(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
+	return pw.w.Close()
 }
 
 // ---- skew-exploiting aggregation (Zhang & Ross style) ----

@@ -34,7 +34,7 @@ package hurricane
 
 import (
 	"context"
-	"io"
+	"fmt"
 
 	"repro/internal/bag"
 	"repro/internal/chunk"
@@ -219,6 +219,33 @@ var (
 	KVOf = chunk.KVCodec{}
 )
 
+// ColumnCodec is a Codec that also lays values out as batch columns —
+// the one contract LoadBatch, WriteBatch, reading batch chunks and the
+// query planner require. The ready-made codecs and PairOf compositions of
+// them implement it; a custom codec implements it with the column types
+// below. A ColumnCodec value is a view for one stream (see
+// chunk.ColumnCodec).
+type ColumnCodec[T any] = chunk.ColumnCodec[T]
+
+// Column-layout building blocks for implementing ColumnCodec.
+type (
+	ColKind      = chunk.ColKind
+	BatchBuilder = chunk.BatchBuilder
+	Batch        = chunk.Batch
+)
+
+// Column kinds: varints, fixed 8-byte words, and (length, bytes) pairs.
+const (
+	ColVarint = chunk.ColVarint
+	ColFixed8 = chunk.ColFixed8
+	ColLen    = chunk.ColLen
+	ColBytes  = chunk.ColBytes
+)
+
+// ErrNotColumnar is wrapped by the batch entry points when a codec has
+// no column view.
+var ErrNotColumnar = chunk.ErrNotColumnar
+
 // Pair is a two-field tuple record.
 type Pair[A, B any] = chunk.Pair[A, B]
 
@@ -233,25 +260,7 @@ func PairOf[A, B any](a Codec[A], b Codec[B]) Codec[Pair[A, B]] {
 // time from the shared input bag, any number of clones can run the same
 // loop concurrently.
 func ForEach[T any](tc *TaskCtx, input int, codec Codec[T], fn func(T) error) error {
-	it := chunk.NewIterator(codec, func() (chunk.Chunk, error) {
-		c, err := tc.Remove(input)
-		if err == bag.ErrEmpty {
-			return nil, io.EOF
-		}
-		return c, err
-	})
-	for {
-		v, err := it.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := fn(v); err != nil {
-			return err
-		}
-	}
+	return ForEachBatch(tc, input, codec, each(fn))
 }
 
 // ForEachScan reads scan input i in full (without consuming it), decoding
@@ -260,24 +269,18 @@ func ForEach[T any](tc *TaskCtx, input int, codec Codec[T], fn func(T) error) er
 // lookup state (a hash join's build side, PageRank's rank vector) is
 // distributed to clones.
 func ForEachScan[T any](tc *TaskCtx, scanInput int, codec Codec[T], fn func(T) error) error {
-	it := chunk.NewIterator(codec, func() (chunk.Chunk, error) {
-		c, err := tc.Scan(scanInput)
-		if err == bag.ErrEmpty {
-			return nil, io.EOF
+	return drain(func() (chunk.Chunk, error) { return tc.Scan(scanInput) }, codec, each(fn))
+}
+
+// each lifts a per-record callback to a per-chunk one.
+func each[T any](fn func(T) error) func([]T) error {
+	return func(vs []T) error {
+		for _, v := range vs {
+			if err := fn(v); err != nil {
+				return err
+			}
 		}
-		return c, err
-	})
-	for {
-		v, err := it.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := fn(v); err != nil {
-			return err
-		}
+		return nil
 	}
 }
 
@@ -322,35 +325,22 @@ func Load[T any](ctx context.Context, store *Store, bagName string, codec Codec[
 }
 
 // LoadBatch is Load on the vectorized data plane: values pack into
-// batch-encoded columnar chunks, so batch-capable readers (ForEachBatch,
-// the planner's batch loops) decode whole column vectors instead of
-// re-framing record-at-a-time. Requires a columnar codec; a row-only
-// codec falls back to Load. Results are interchangeable with Load's —
-// every reader accepts both layouts on the same bag.
+// batch-encoded columnar chunks, so readers decode whole column vectors
+// instead of re-framing record-at-a-time. It returns an error wrapping
+// ErrNotColumnar when codec has no column view; use Load for
+// row-only codecs.
 func LoadBatch[T any](ctx context.Context, store *Store, bagName string, codec Codec[T], values []T) error {
-	cc, ok := chunk.ColumnarOf(codec)
+	view, ok := chunk.ViewOf(codec)
 	if !ok {
-		return Load(ctx, store, bagName, codec, values)
+		return fmt.Errorf("hurricane: LoadBatch %q: %w", bagName, chunk.ErrNotColumnar)
 	}
-	h := store.Bag(bagName)
-	ins := h.Inserter(ctx)
-	b := chunk.GetBatchBuilder(0, chunk.KindsOf(cc))
-	defer chunk.PutBatchBuilder(b)
-	size := store.ChunkSize()
-	for _, v := range values {
-		cc.EncodeColumn(b, 0, v)
-		b.EndRow()
-		if b.Size() >= size {
-			if err := ins.Insert(b.Encode()); err != nil {
-				return err
-			}
-			b.Clear()
-		}
+	ins := store.Bag(bagName).Inserter(ctx)
+	w := chunk.NewBatchWriter(view, store.ChunkSize(), ins.Insert)
+	if err := w.WriteBatch(values); err != nil {
+		return err
 	}
-	if b.Rows() > 0 {
-		if err := ins.Insert(b.Encode()); err != nil {
-			return err
-		}
+	if err := w.Close(); err != nil {
+		return err
 	}
 	return ins.Close()
 }
@@ -366,24 +356,18 @@ func Seal(ctx context.Context, store *Store, bagName string) error {
 func Collect[T any](ctx context.Context, store *Store, bagName string, codec Codec[T]) ([]T, error) {
 	sc := store.Scanner(bagName)
 	var out []T
-	for {
+	err := drain(func() (chunk.Chunk, error) {
 		c, err := sc.Next(ctx)
-		if err == bag.ErrEmpty || err == bag.ErrAgain {
-			return out, nil
+		if err == bag.ErrAgain {
+			err = bag.ErrEmpty
 		}
-		if err != nil {
-			return nil, err
-		}
-		vals, err := decodeAll(codec, c)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, vals...)
+		return c, err
+	}, codec, func(vs []T) error {
+		out = append(out, vs...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-}
-
-func decodeAll[T any](codec Codec[T], c chunk.Chunk) ([]T, error) {
-	// The iterator dispatches per chunk, so collected bags may hold row
-	// and batch chunks in any mix.
-	return chunk.NewSliceIterator(codec, []chunk.Chunk{c}).Collect()
+	return out, nil
 }

@@ -103,51 +103,14 @@ func (d *Dataset[T]) Sink(bag string) *Dataset[T] {
 	return d
 }
 
-// anyCodec adapts a typed codec to the planner's untyped record plane.
-// When the wrapped codec supports the columnar batch layout it also
-// satisfies plan.ColumnarAnyCodec, which makes the compiled stages run
-// vectorized batch loops; row-only codecs leave cc nil (ColKinds returns
-// nil) and the stages keep the record-at-a-time path.
-type anyCodec[T any] struct {
-	c     hurricane.Codec[T]
-	cc    chunk.ColumnCodec[T]
-	kinds []chunk.ColKind
-}
+// anyCodec adapts a typed codec to the planner's untyped record plane:
+// each View call hands one planner worker its own column view over
+// records boxed in any.
+type anyCodec[T any] struct{ c hurricane.Codec[T] }
 
-func codecOf[T any](c hurricane.Codec[T]) anyCodec[T] {
-	a := anyCodec[T]{c: c}
-	if cc, ok := chunk.ColumnarOf(c); ok {
-		a.cc = cc
-		a.kinds = chunk.KindsOf(cc)
-	}
-	return a
-}
+func codecOf[T any](c hurricane.Codec[T]) anyCodec[T] { return anyCodec[T]{c} }
 
-func (a anyCodec[T]) EncodeAny(dst []byte, v any) []byte { return a.c.Encode(dst, v.(T)) }
-func (a anyCodec[T]) DecodeAny(rec []byte) (any, error) {
-	v, _, err := a.c.Decode(rec)
-	if err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
-func (a anyCodec[T]) ColKinds() []chunk.ColKind { return a.kinds }
-
-func (a anyCodec[T]) EncodeColumnAny(b *chunk.BatchBuilder, v any) {
-	a.cc.EncodeColumn(b, 0, v.(T))
-}
-
-func (a anyCodec[T]) DecodeBatchAny(bt *chunk.Batch, out []any) ([]any, error) {
-	vals, _, err := a.cc.DecodeColumn(bt, 0, nil)
-	if err != nil {
-		return out, err
-	}
-	for _, v := range vals {
-		out = append(out, v)
-	}
-	return out, nil
-}
+func (a anyCodec[T]) View() (chunk.ColumnCodec[any], bool) { return chunk.AnyView(a.c) }
 
 // Scan reads a source bag. Load and seal it (hurricane.Load /
 // hurricane.Seal) before the compiled job runs — under the JobHandle.Bag

@@ -2,6 +2,7 @@ package q_test
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -68,5 +69,33 @@ func TestVectorizedPlanOracle(t *testing.T) {
 	}
 	if batches == 0 {
 		t.Fatal("no batch chunks recorded — the compiled plan fell back to rows")
+	}
+}
+
+// TestVectorFinalizeStageError asserts an operator error raised in a
+// finalize stage (the merged partials of a CountByKey feeding a FlatMap)
+// fails the job instead of being dropped.
+func TestVectorFinalizeStageError(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	cluster, err := hurricane.NewCluster(testClusterConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Shutdown()
+
+	p := q.New("finerr")
+	counts := q.CountByKey(q.Scan(p, "in", tupleCodec), func(t tuple) uint64 { return t.First })
+	q.FlatMap(counts, hurricane.Int64Of, func(hurricane.Pair[uint64, int64], func(int64) error) error {
+		return errors.New("finalize boom")
+	}).Sink("out")
+	c, err := p.Compile(q.Options{Parts: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := workload.RelationGen{Keys: 16, S: 1.1, Seed: 5}
+	loadTuples(ctx, t, cluster.Store(), "in", gen.Generate(2000))
+	if err := c.Run(ctx, cluster); err == nil || !strings.Contains(err.Error(), "finalize boom") {
+		t.Fatalf("Run = %v, want the finalize stage's error", err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"repro/internal/chunk"
 	"repro/internal/shuffle"
 )
 
@@ -38,18 +37,10 @@ type PartitionedWriter[T any] struct {
 	buf   []byte
 	kbuf  []byte
 
-	// Batch scatter state (see batch.go): the codec's columnar view,
-	// resolved lazily on the first WriteBatch, and one pooled batch
-	// builder per routing decision. Base partitions — the overwhelmingly
-	// common routing outcome — index a dense slice; isolation and
-	// sub-partition refs take the map (a struct-keyed map lookup per
-	// record is measurable at batch rates).
-	cc         chunk.ColumnCodec[T]
-	kinds      []chunk.ColKind
-	baseLeaves []*chunk.BatchBuilder
-	leaves     map[shuffle.RouteRef]*chunk.BatchBuilder
-	chunkSize  int
-	rowOnly    bool
+	// scatter is the batch path's leaf writer (see batch.go), built on the
+	// first WriteBatch from a column view of codec.
+	scatter   *shuffle.BatchScatter[T]
+	chunkSize int
 
 	// keyU64, when set (NewPartitionedWriterUint64), unlocks the
 	// uint64-native batch routing path: WriteBatch hashes and counts keys
@@ -57,13 +48,6 @@ type PartitionedWriter[T any] struct {
 	// Placement is identical to the generic path by construction.
 	keyU64  func(T) uint64
 	u64keys []uint64
-
-	// Bulk-encode scatter state: the codec's bulk view (nil when any
-	// component codec lacks one) and reusable per-leaf row-index lists,
-	// dense for base partitions, mapped for isolation/sub-partition refs.
-	bulk    chunk.BulkColumnCodec[T]
-	baseIdx [][]int32
-	mapIdx  map[shuffle.RouteRef][]int32
 }
 
 // NewPartitionedWriter returns a partitioned writer for output out, which

@@ -21,8 +21,9 @@ type gbAgg struct {
 }
 
 // gbAggCodec encodes a *gbAgg accumulator byte-compatibly with the
-// hand-wired groupby's (count, encoded-HLL) pair, so the plan's sink bag
-// is readable by the same CollectGroupByFrom oracle collector.
+// hand-wired groupby's (count, encoded-HLL) pair, in rows and in columns,
+// so the plan's sink bag is readable by the same CollectGroupByFrom
+// oracle collector.
 type gbAggCodec struct{}
 
 func (gbAggCodec) Encode(buf []byte, v *gbAgg) []byte {
@@ -44,6 +45,40 @@ func (gbAggCodec) Decode(record []byte) (*gbAgg, int, error) {
 		return nil, 0, err
 	}
 	return &gbAgg{N: n, HLL: hll}, used + m, nil
+}
+
+// The column layout is Pair[int64, []byte]'s, so the planner's partials
+// travel as batch chunks the hand-wired collector reads unchanged.
+
+func (gbAggCodec) AppendColKinds(dst []hurricane.ColKind) []hurricane.ColKind {
+	return append(dst, hurricane.ColVarint, hurricane.ColLen, hurricane.ColBytes)
+}
+
+func (gbAggCodec) EncodeRows(b *hurricane.BatchBuilder, col int, vs []*gbAgg) int {
+	for _, v := range vs {
+		b.AppendVarint(col, v.N)
+		b.AppendBlob(col+1, v.HLL.Encode())
+	}
+	return col + 3
+}
+
+func (gbAggCodec) DecodeColumn(bt *hurricane.Batch, col int, out []*gbAgg) ([]*gbAgg, int, error) {
+	ns, col, err := hurricane.Int64Of.DecodeColumn(bt, col, nil)
+	if err != nil {
+		return out, col, err
+	}
+	raws, col, err := hurricane.BytesOf.DecodeColumn(bt, col, nil)
+	if err != nil {
+		return out, col, err
+	}
+	for i, raw := range raws {
+		hll, err := hurricane.DecodeHLL(raw)
+		if err != nil {
+			return out, col, err
+		}
+		out = append(out, &gbAgg{N: ns[i], HLL: hll})
+	}
+	return out, col, nil
 }
 
 // payloadBytes encodes a tuple payload for HLL observation, matching the

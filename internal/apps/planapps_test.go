@@ -5,6 +5,8 @@ import (
 
 	"repro/hurricane"
 	"repro/hurricane/q"
+	"repro/internal/bag"
+	"repro/internal/chunk"
 	"repro/internal/workload"
 )
 
@@ -44,6 +46,26 @@ func TestGroupByPlanMatchesHandWiredOracle(t *testing.T) {
 	}
 	if err := c.Run(ctx, planCluster); err != nil {
 		t.Fatal(err)
+	}
+	// The partials travel as batch chunks (gbAggCodec has a column view)
+	// and still read through the hand-wired oracle's collector.
+	sc := planCluster.Store().Scanner(c.SinkBag(GroupByOut))
+	var batches int
+	for {
+		ch, err := sc.Next(ctx)
+		if err == hurricane.ErrEmpty || err == bag.ErrAgain {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !chunk.IsBatch(ch) {
+			t.Fatal("GroupByPlan's sink bag holds a row chunk")
+		}
+		batches++
+	}
+	if batches == 0 {
+		t.Fatal("GroupByPlan's sink bag is empty")
 	}
 	got, err := CollectGroupByFrom(ctx, planCluster.Store(), c.SinkBag(GroupByOut))
 	if err != nil {

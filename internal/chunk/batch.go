@@ -4,17 +4,14 @@
 // record. The header carries a schema tag and the row count, then each
 // column is a length-prefixed vector: varint columns hold back-to-back
 // uvarints, fixed columns hold 8-byte little-endian values, and blob
-// columns come in (lengths, bytes) pairs. Because every row codec in this
-// package encodes a value as the concatenation of its fields' encodings,
-// a batch is generically convertible back to row records (BatchReader)
-// without knowing the schema — that conversion is the universal row↔batch
-// adapter at boundaries that are not batch-capable yet.
+// columns come in (lengths, bytes) pairs. A ColumnCodec maps values to
+// and from these columns; the schema tag is always written as 0.
 //
 // Batch chunks are self-identifying: they open with a magic prefix that
 // no valid row chunk can produce (an empty record followed by an
 // overlong uvarint), so a row Reader pointed at a batch fails with
-// ErrCorrupt instead of silently misparsing, and batch-aware consumers
-// dispatch per chunk — mixing row and batch chunks in one bag is legal.
+// ErrCorrupt instead of silently misparsing, and a Decoder dispatches per
+// chunk — mixing row and batch chunks in one bag is legal.
 package chunk
 
 import (
@@ -23,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -41,8 +39,8 @@ const (
 )
 
 // ErrNotColumnar is returned when a batch operation is attempted through
-// a codec whose components do not all support the column layout.
-var ErrNotColumnar = errors.New("chunk: codec is not columnar")
+// a codec that has no column view (see ViewOf).
+var ErrNotColumnar = errors.New("chunk: codec has no column view")
 
 // ColKind identifies the physical layout of one batch column.
 type ColKind byte
@@ -144,6 +142,10 @@ func DecodeBatch(c Chunk, into *Batch) (*Batch, error) {
 			return nil, fmt.Errorf("%w: bytes column without length column", ErrCorrupt)
 		case kind == ColFixed8 && size != rows*8:
 			return nil, fmt.Errorf("%w: fixed column size %d for %d rows", ErrCorrupt, size, rows)
+		case (kind == ColVarint || kind == ColLen) && size < rows:
+			// At least one byte per row: this bounds the row count by the
+			// chunk size before any decoder sizes a vector from it.
+			return nil, fmt.Errorf("%w: varint column size %d for %d rows", ErrCorrupt, size, rows)
 		}
 		pendLen = kind == ColLen
 		into.Cols = append(into.Cols, Col{Kind: kind, Data: c[off:end]})
@@ -180,30 +182,27 @@ func batchRows(c Chunk) (int, error) {
 
 // ---- batch building ----
 
-// BatchBuilder accumulates column vectors for one batch. Values are
-// appended field-by-field through a ColumnCodec's EncodeColumn, rows are
-// delimited with EndRow, and Encode serializes the whole batch in a
-// single allocation. Builders are reusable (Clear) and poolable
-// (GetBatchBuilder/PutBatchBuilder).
+// BatchBuilder accumulates column vectors for one batch. A ColumnCodec's
+// EncodeRows appends whole row runs column-major, EndRows accounts them,
+// and Encode serializes the batch in a single allocation. Builders are
+// reusable (Clear) and poolable (GetBatchBuilder/PutBatchBuilder).
 type BatchBuilder struct {
-	tag   uint64
 	kinds []ColKind
 	cols  [][]byte
 	rows  int
 	bytes int
 }
 
-// NewBatchBuilder returns a builder for batches with the given schema tag
-// and column kinds.
-func NewBatchBuilder(tag uint64, kinds []ColKind) *BatchBuilder {
+// NewBatchBuilder returns a builder for batches with the given column
+// kinds.
+func NewBatchBuilder(kinds []ColKind) *BatchBuilder {
 	b := new(BatchBuilder)
-	b.Reset(tag, kinds)
+	b.Reset(kinds)
 	return b
 }
 
 // Reset re-targets the builder at a new schema, keeping column capacity.
-func (b *BatchBuilder) Reset(tag uint64, kinds []ColKind) {
-	b.tag = tag
+func (b *BatchBuilder) Reset(kinds []ColKind) {
 	b.kinds = append(b.kinds[:0], kinds...)
 	for len(b.cols) < len(b.kinds) {
 		b.cols = append(b.cols, nil)
@@ -229,12 +228,8 @@ func (b *BatchBuilder) Size() int {
 	return b.bytes + len(batchMagic) + 1 + 3*binary.MaxVarintLen64 + len(b.kinds)*(1+binary.MaxVarintLen64)
 }
 
-// EndRow marks the current row complete. Every column must have received
-// exactly one value since the previous EndRow.
-func (b *BatchBuilder) EndRow() { b.rows++ }
-
-// EndRows delimits n rows at once — the bulk-encode counterpart of
-// EndRow for column-major fills (see BulkColumnCodec).
+// EndRows marks n rows complete. Every column must have received exactly
+// n values since the previous EndRows.
 func (b *BatchBuilder) EndRows(n int) { b.rows += n }
 
 // AppendUvarint appends one uvarint value to a ColVarint column.
@@ -281,8 +276,7 @@ func (b *BatchBuilder) AppendBlobString(col int, s string) {
 func (b *BatchBuilder) Encode() Chunk {
 	out := make([]byte, 0, b.Size())
 	out = append(out, batchMagic[:]...)
-	out = append(out, batchVersion)
-	out = binary.AppendUvarint(out, b.tag)
+	out = append(out, batchVersion, 0) // version, schema tag
 	out = binary.AppendUvarint(out, uint64(b.rows))
 	out = binary.AppendUvarint(out, uint64(len(b.kinds)))
 	for i, k := range b.kinds {
@@ -295,117 +289,67 @@ func (b *BatchBuilder) Encode() Chunk {
 
 var batchBuilderPool = sync.Pool{New: func() any { return new(BatchBuilder) }}
 
-// GetBatchBuilder returns a pooled builder reset to the given schema, so
-// per-partition scatter paths do not allocate a fresh builder per chunk.
-func GetBatchBuilder(tag uint64, kinds []ColKind) *BatchBuilder {
+// GetBatchBuilder returns a pooled builder reset to the given column
+// kinds, so per-partition scatter paths do not allocate a fresh builder
+// per chunk.
+func GetBatchBuilder(kinds []ColKind) *BatchBuilder {
 	b := batchBuilderPool.Get().(*BatchBuilder)
-	b.Reset(tag, kinds)
+	b.Reset(kinds)
 	return b
 }
 
 // PutBatchBuilder returns a builder to the pool.
 func PutBatchBuilder(b *BatchBuilder) { batchBuilderPool.Put(b) }
 
-// ---- columnar codecs ----
+// ---- the column contract ----
 
-// A ColumnCodec lays values out as column vectors inside batch chunks, in
-// addition to the row format. Composite codecs are columnar only when all
-// their components are, so Columnar must be consulted before using the
-// batch paths — ColumnarOf does both checks.
+// A ColumnCodec is a Codec that also lays values out as batch columns.
+// It is the one columnar contract: the batch writer, the shuffle's batch
+// scatter, the Decoder and the query planner use it and nothing else.
+//
+// A ColumnCodec value is a view for one stream. EncodeRows and
+// DecodeColumn may reuse per-view scratch, so a view must not be shared
+// by concurrent goroutines: resolve one per worker with ViewOf. The leaf
+// codecs of this package are stateless and are their own views.
 type ColumnCodec[T any] interface {
 	Codec[T]
-	// Columnar reports whether this codec instance truly supports the
-	// column layout.
-	Columnar() bool
 	// AppendColKinds appends the kinds of the codec's columns to dst.
 	AppendColKinds(dst []ColKind) []ColKind
-	// EncodeColumn appends one value's fields to the builder's columns
-	// starting at column col and returns the next free column index. The
-	// caller delimits rows with EndRow.
-	EncodeColumn(b *BatchBuilder, col int, v T) int
+	// EncodeRows appends every value of vs, in order, to the builder's
+	// columns starting at column col, and returns the next free column.
+	// Columns fill column-major; the caller accounts the rows with
+	// EndRows.
+	EncodeRows(b *BatchBuilder, col int, vs []T) int
 	// DecodeColumn decodes every row of the batch starting at column col,
-	// appending to out. It returns the grown slice and the next column
-	// index. Decoding does one allocation per column per batch, not per
-	// record.
+	// appending to out, and returns the grown slice and the next column.
+	// The caller has checked the batch's column kinds against
+	// AppendColKinds (a Decoder does, once per chunk).
 	DecodeColumn(bt *Batch, col int, out []T) ([]T, int, error)
 }
 
-// columnarResolver lets a composite codec hand ColumnarOf a view with its
-// sub-codecs already resolved, so the per-record EncodeColumn/DecodeColumn
-// calls skip dynamic interface conversion (assertE2I2/getitab show up in
-// profiles when resolution happens per call).
-type columnarResolver[T any] interface {
-	resolveColumnar() (ColumnCodec[T], bool)
+// viewer is implemented by composite codecs, whose column view resolves
+// their components' views once and owns per-view scratch.
+type viewer[T any] interface {
+	view() (ColumnCodec[T], bool)
 }
 
-// ColumnarOf returns the columnar view of codec if it has one. The view may
-// be a resolved wrapper rather than the codec itself: callers should resolve
-// once per stream, not per record.
-func ColumnarOf[T any](c Codec[T]) (ColumnCodec[T], bool) {
-	if r, ok := c.(columnarResolver[T]); ok {
-		return r.resolveColumnar()
+// ViewOf returns a column view of c for one stream's exclusive use, or
+// ok=false when c has no column layout (a row-only codec, or a composite
+// with a row-only component).
+func ViewOf[T any](c Codec[T]) (ColumnCodec[T], bool) {
+	if v, ok := c.(viewer[T]); ok {
+		return v.view()
 	}
-	return columnarView(c)
-}
-
-// columnarView is the plain (non-resolving) columnar check. Composite
-// codecs use it internally so their direct per-record methods stay
-// allocation-free; resolveColumnar allocates a wrapper, which is only
-// acceptable once per stream.
-func columnarView[T any](c Codec[T]) (ColumnCodec[T], bool) {
 	cc, ok := c.(ColumnCodec[T])
-	if ok && cc.Columnar() {
-		return cc, true
-	}
-	return nil, false
+	return cc, ok
 }
-
-// BulkColumnCodec is an optional ColumnCodec extension for scatter
-// loops. EncodeRows appends the rows vs[idx[0]], vs[idx[1]], ... (all of
-// vs in order when idx is nil) starting at column col and returns the
-// next free column. Implementations fill column-major — a builder's
-// columns are independent buffers and only the final row count matters —
-// so a scatter pays one virtual call per leaf per batch instead of one
-// per record, and the caller accounts rows once with EndRows. BulkOK
-// reports whether this instance really supports the path (composite
-// codecs lose it when a component lacks it); check it before use. Bulk
-// views carry per-stream scratch: resolve one per producer (ColumnarOf +
-// BulkOf) and never share it across concurrent workers — unlike
-// EncodeColumn/DecodeColumn, EncodeRows is not stateless.
-type BulkColumnCodec[T any] interface {
-	BulkOK() bool
-	EncodeRows(b *BatchBuilder, col int, vs []T, idx []int32) int
-}
-
-// BulkOf returns codec's bulk-encode view, if it has one. Resolve once
-// per stream, like ColumnarOf.
-func BulkOf[T any](c ColumnCodec[T]) (BulkColumnCodec[T], bool) {
-	if bc, ok := c.(BulkColumnCodec[T]); ok && bc.BulkOK() {
-		return bc, true
-	}
-	return nil, false
-}
-
-// ScratchColumnCodec is an optional ColumnCodec extension for callers
-// that own their resolved view exclusively (one decode stream, one
-// goroutine): DecodeColumnScratch is DecodeColumn with the intermediate
-// column vectors drawn from per-stream scratch instead of allocated per
-// batch. Shared wrappers — e.g. the query planner's compiled codecs,
-// which fan one resolved view out to concurrent workers — must keep
-// calling the stateless DecodeColumn.
-type ScratchColumnCodec[T any] interface {
-	DecodeColumnScratch(bt *Batch, col int, out []T) ([]T, int, error)
-}
-
-// KindsOf returns codec's column kinds.
-func KindsOf[T any](c ColumnCodec[T]) []ColKind { return c.AppendColKinds(nil) }
-
-func (Uint64Codec) Columnar() bool { return true }
 
 func (Uint64Codec) AppendColKinds(dst []ColKind) []ColKind { return append(dst, ColVarint) }
 
-func (Uint64Codec) EncodeColumn(b *BatchBuilder, col int, v uint64) int {
-	b.AppendUvarint(col, v)
+func (Uint64Codec) EncodeRows(b *BatchBuilder, col int, vs []uint64) int {
+	for _, v := range vs {
+		b.AppendUvarint(col, v)
+	}
 	return col + 1
 }
 
@@ -447,12 +391,12 @@ func (Uint64Codec) DecodeColumn(bt *Batch, col int, out []uint64) ([]uint64, int
 	return out, col + 1, nil
 }
 
-func (Int64Codec) Columnar() bool { return true }
-
 func (Int64Codec) AppendColKinds(dst []ColKind) []ColKind { return append(dst, ColVarint) }
 
-func (Int64Codec) EncodeColumn(b *BatchBuilder, col int, v int64) int {
-	b.AppendVarint(col, v)
+func (Int64Codec) EncodeRows(b *BatchBuilder, col int, vs []int64) int {
+	for _, v := range vs {
+		b.AppendVarint(col, v)
+	}
 	return col + 1
 }
 
@@ -470,20 +414,19 @@ func (Int64Codec) DecodeColumn(bt *Batch, col int, out []int64) ([]int64, int, e
 	return out, col + 1, nil
 }
 
-func (Uint64FixedCodec) Columnar() bool { return true }
-
 func (Uint64FixedCodec) AppendColKinds(dst []ColKind) []ColKind { return append(dst, ColFixed8) }
 
-func (Uint64FixedCodec) EncodeColumn(b *BatchBuilder, col int, v uint64) int {
-	b.AppendFixed8(col, v)
+func (Uint64FixedCodec) EncodeRows(b *BatchBuilder, col int, vs []uint64) int {
+	for _, v := range vs {
+		b.AppendFixed8(col, v)
+	}
 	return col + 1
 }
 
+// DecodeColumn relies on DecodeBatch having checked that a ColFixed8
+// column holds exactly eight bytes per row.
 func (Uint64FixedCodec) DecodeColumn(bt *Batch, col int, out []uint64) ([]uint64, int, error) {
 	data := bt.Cols[col].Data
-	if len(data) != bt.Rows*8 {
-		return out, col, fmt.Errorf("%w: fixed column size mismatch", ErrCorrupt)
-	}
 	out = growCap(out, bt.Rows)
 	for i := 0; i < bt.Rows; i++ {
 		out = append(out, binary.LittleEndian.Uint64(data[i*8:]))
@@ -491,20 +434,17 @@ func (Uint64FixedCodec) DecodeColumn(bt *Batch, col int, out []uint64) ([]uint64
 	return out, col + 1, nil
 }
 
-func (Float64Codec) Columnar() bool { return true }
-
 func (Float64Codec) AppendColKinds(dst []ColKind) []ColKind { return append(dst, ColFixed8) }
 
-func (Float64Codec) EncodeColumn(b *BatchBuilder, col int, v float64) int {
-	b.AppendFixed8(col, math.Float64bits(v))
+func (Float64Codec) EncodeRows(b *BatchBuilder, col int, vs []float64) int {
+	for _, v := range vs {
+		b.AppendFixed8(col, math.Float64bits(v))
+	}
 	return col + 1
 }
 
 func (Float64Codec) DecodeColumn(bt *Batch, col int, out []float64) ([]float64, int, error) {
 	data := bt.Cols[col].Data
-	if len(data) != bt.Rows*8 {
-		return out, col, fmt.Errorf("%w: fixed column size mismatch", ErrCorrupt)
-	}
 	out = growCap(out, bt.Rows)
 	for i := 0; i < bt.Rows; i++ {
 		out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:])))
@@ -514,9 +454,9 @@ func (Float64Codec) DecodeColumn(bt *Batch, col int, out []float64) ([]float64, 
 
 // blobSpans parses a (ColLen, ColBytes) pair into [start,end) offsets of
 // each row's payload inside the bytes column.
-func blobSpans(bt *Batch, col int, spans []int) ([]int, error) {
+func blobSpans(bt *Batch, col int) ([]int, error) {
 	lens, bytes := bt.Cols[col].Data, bt.Cols[col+1].Data
-	spans = spans[:0]
+	spans := make([]int, 0, 2*bt.Rows)
 	off, pos := 0, 0
 	for i := 0; i < bt.Rows; i++ {
 		size, n := binary.Uvarint(lens[off:])
@@ -534,19 +474,19 @@ func blobSpans(bt *Batch, col int, spans []int) ([]int, error) {
 	return spans, nil
 }
 
-func (StringCodec) Columnar() bool { return true }
-
 func (StringCodec) AppendColKinds(dst []ColKind) []ColKind {
 	return append(dst, ColLen, ColBytes)
 }
 
-func (StringCodec) EncodeColumn(b *BatchBuilder, col int, v string) int {
-	b.AppendBlobString(col, v)
+func (StringCodec) EncodeRows(b *BatchBuilder, col int, vs []string) int {
+	for _, v := range vs {
+		b.AppendBlobString(col, v)
+	}
 	return col + 2
 }
 
 func (StringCodec) DecodeColumn(bt *Batch, col int, out []string) ([]string, int, error) {
-	spans, err := blobSpans(bt, col, nil)
+	spans, err := blobSpans(bt, col)
 	if err != nil {
 		return out, col, err
 	}
@@ -560,21 +500,21 @@ func (StringCodec) DecodeColumn(bt *Batch, col int, out []string) ([]string, int
 	return out, col + 2, nil
 }
 
-func (BytesCodec) Columnar() bool { return true }
-
 func (BytesCodec) AppendColKinds(dst []ColKind) []ColKind {
 	return append(dst, ColLen, ColBytes)
 }
 
-func (BytesCodec) EncodeColumn(b *BatchBuilder, col int, v []byte) int {
-	b.AppendBlob(col, v)
+func (BytesCodec) EncodeRows(b *BatchBuilder, col int, vs [][]byte) int {
+	for _, v := range vs {
+		b.AppendBlob(col, v)
+	}
 	return col + 2
 }
 
 // DecodeColumn's byte slices alias the batch's chunk, mirroring the row
 // Decode contract.
 func (BytesCodec) DecodeColumn(bt *Batch, col int, out [][]byte) ([][]byte, int, error) {
-	spans, err := blobSpans(bt, col, nil)
+	spans, err := blobSpans(bt, col)
 	if err != nil {
 		return out, col, err
 	}
@@ -586,242 +526,85 @@ func (BytesCodec) DecodeColumn(bt *Batch, col int, out [][]byte) ([][]byte, int,
 	return out, col + 2, nil
 }
 
-func (Uint64Codec) BulkOK() bool { return true }
-
-func (Uint64Codec) EncodeRows(b *BatchBuilder, col int, vs []uint64, idx []int32) int {
-	if idx == nil {
-		for _, v := range vs {
-			b.AppendUvarint(col, v)
-		}
-	} else {
-		for _, i := range idx {
-			b.AppendUvarint(col, vs[i])
-		}
-	}
-	return col + 1
-}
-
-func (Int64Codec) BulkOK() bool { return true }
-
-func (Int64Codec) EncodeRows(b *BatchBuilder, col int, vs []int64, idx []int32) int {
-	if idx == nil {
-		for _, v := range vs {
-			b.AppendVarint(col, v)
-		}
-	} else {
-		for _, i := range idx {
-			b.AppendVarint(col, vs[i])
-		}
-	}
-	return col + 1
-}
-
-func (Uint64FixedCodec) BulkOK() bool { return true }
-
-func (Uint64FixedCodec) EncodeRows(b *BatchBuilder, col int, vs []uint64, idx []int32) int {
-	if idx == nil {
-		for _, v := range vs {
-			b.AppendFixed8(col, v)
-		}
-	} else {
-		for _, i := range idx {
-			b.AppendFixed8(col, vs[i])
-		}
-	}
-	return col + 1
-}
-
-func (Float64Codec) BulkOK() bool { return true }
-
-func (Float64Codec) EncodeRows(b *BatchBuilder, col int, vs []float64, idx []int32) int {
-	if idx == nil {
-		for _, v := range vs {
-			b.AppendFixed8(col, math.Float64bits(v))
-		}
-	} else {
-		for _, i := range idx {
-			b.AppendFixed8(col, math.Float64bits(vs[i]))
-		}
-	}
-	return col + 1
-}
-
-func (c PairCodec[A, B]) Columnar() bool {
-	_, okA := columnarView(c.A)
-	_, okB := columnarView(c.B)
-	return okA && okB
-}
-
-func (c PairCodec[A, B]) AppendColKinds(dst []ColKind) []ColKind {
-	ca, okA := columnarView(c.A)
-	cb, okB := columnarView(c.B)
-	if !okA || !okB {
-		return dst
-	}
-	return cb.AppendColKinds(ca.AppendColKinds(dst))
-}
-
-// resolveColumnar returns a view with both sub-codecs resolved up front;
-// nested PairCodecs resolve recursively, so an arbitrarily deep tuple pays
-// for interface resolution once per stream instead of once per record.
-func (c PairCodec[A, B]) resolveColumnar() (ColumnCodec[Pair[A, B]], bool) {
-	ca, okA := ColumnarOf(c.A)
-	cb, okB := ColumnarOf(c.B)
-	if !okA || !okB {
-		return nil, false
-	}
-	r := resolvedPairCodec[A, B]{PairCodec: c, ca: ca, cb: cb}
-	// Pre-resolve the bulk-encode views too: the pair is bulk-encodable
-	// exactly when both halves are, and the scratch columns live on a
-	// pointer so the by-value interface copies share them.
-	if ba, ok := BulkOf(ca); ok {
-		if bb, ok := BulkOf(cb); ok {
-			r.ba, r.bb = ba, bb
-		}
-	}
-	// The scratch backs the stream-owned entry points (EncodeRows,
-	// DecodeColumnScratch); the plain ColumnCodec methods never touch it,
-	// so a shared wrapper stays safe as long as sharers stick to those.
-	r.sc = &pairScratch[A, B]{}
-	return r, true
-}
-
-// resolvedPairCodec is PairCodec with the columnar sub-codec lookups hoisted
-// out of the per-record path. It is what ColumnarOf hands back for pairs.
-type resolvedPairCodec[A, B any] struct {
-	PairCodec[A, B]
-	ca ColumnCodec[A]
-	cb ColumnCodec[B]
-	ba BulkColumnCodec[A]
-	bb BulkColumnCodec[B]
-	sc *pairScratch[A, B]
-}
-
-// pairScratch is the reusable column-gather buffer behind a resolved
-// pair's EncodeRows.
-type pairScratch[A, B any] struct {
-	as []A
-	bs []B
-}
-
-func (c resolvedPairCodec[A, B]) BulkOK() bool { return c.ba != nil && c.bb != nil }
-
-// EncodeRows splits the selected pairs into per-half column vectors once,
-// then hands each half to its sub-codec's bulk loop — two virtual calls
-// per leaf per batch, with the inner appends fully concrete.
-func (c resolvedPairCodec[A, B]) EncodeRows(b *BatchBuilder, col int, vs []Pair[A, B], idx []int32) int {
-	sc := c.sc
-	sc.as = sc.as[:0]
-	sc.bs = sc.bs[:0]
-	if idx == nil {
-		for i := range vs {
-			v := &vs[i]
-			sc.as = append(sc.as, v.First)
-			sc.bs = append(sc.bs, v.Second)
-		}
-	} else {
-		for _, i := range idx {
-			v := &vs[i]
-			sc.as = append(sc.as, v.First)
-			sc.bs = append(sc.bs, v.Second)
-		}
-	}
-	col = c.ba.EncodeRows(b, col, sc.as, nil)
-	col = c.bb.EncodeRows(b, col, sc.bs, nil)
-	return col
-}
-
-func (c resolvedPairCodec[A, B]) EncodeColumn(b *BatchBuilder, col int, v Pair[A, B]) int {
-	return c.cb.EncodeColumn(b, c.ca.EncodeColumn(b, col, v.First), v.Second)
-}
-
-func (c resolvedPairCodec[A, B]) DecodeColumn(bt *Batch, col int, out []Pair[A, B]) ([]Pair[A, B], int, error) {
-	return pairDecodeColumn(c.ca, c.cb, bt, col, out)
-}
-
-func (c resolvedPairCodec[A, B]) DecodeColumnScratch(bt *Batch, col int, out []Pair[A, B]) ([]Pair[A, B], int, error) {
-	sc := c.sc
-	as, col, err := c.ca.DecodeColumn(bt, col, sc.as[:0])
-	if err != nil {
-		sc.as = as[:0]
-		return out, col, err
-	}
-	bs, col, err := c.cb.DecodeColumn(bt, col, sc.bs[:0])
-	sc.as, sc.bs = as[:0], bs[:0]
-	if err != nil {
-		return out, col, err
-	}
-	if len(as) != len(bs) {
-		return out, col, fmt.Errorf("%w: pair column row mismatch", ErrCorrupt)
-	}
-	out = growCap(out, len(as))
-	for i := range as {
-		out = append(out, Pair[A, B]{First: as[i], Second: bs[i]})
-	}
-	return out, col, nil
-}
-
-func (c PairCodec[A, B]) EncodeColumn(b *BatchBuilder, col int, v Pair[A, B]) int {
-	ca, _ := columnarView(c.A)
-	cb, _ := columnarView(c.B)
-	return cb.EncodeColumn(b, ca.EncodeColumn(b, col, v.First), v.Second)
-}
-
-func (c PairCodec[A, B]) DecodeColumn(bt *Batch, col int, out []Pair[A, B]) ([]Pair[A, B], int, error) {
-	ca, okA := columnarView(c.A)
-	cb, okB := columnarView(c.B)
-	if !okA || !okB {
-		return out, col, ErrNotColumnar
-	}
-	return pairDecodeColumn(ca, cb, bt, col, out)
-}
-
-func pairDecodeColumn[A, B any](ca ColumnCodec[A], cb ColumnCodec[B], bt *Batch, col int, out []Pair[A, B]) ([]Pair[A, B], int, error) {
-	// The half-column temporaries are allocated per call on purpose:
-	// resolved wrappers are shared across concurrent workers by the query
-	// planner's compiled codecs, so DecodeColumn must stay stateless.
-	as, col, err := ca.DecodeColumn(bt, col, make([]A, 0, bt.Rows))
-	if err != nil {
-		return out, col, err
-	}
-	bs, col, err := cb.DecodeColumn(bt, col, make([]B, 0, bt.Rows))
-	if err != nil {
-		return out, col, err
-	}
-	if len(as) != len(bs) {
-		return out, col, fmt.Errorf("%w: pair column row mismatch", ErrCorrupt)
-	}
-	out = growCap(out, len(as))
-	for i := range as {
-		out = append(out, Pair[A, B]{First: as[i], Second: bs[i]})
-	}
-	return out, col, nil
-}
-
-func (KVCodec) Columnar() bool { return true }
-
 func (KVCodec) AppendColKinds(dst []ColKind) []ColKind {
 	return append(dst, ColLen, ColBytes, ColLen, ColBytes)
 }
 
-func (KVCodec) EncodeColumn(b *BatchBuilder, col int, v KV) int {
-	b.AppendBlobString(col, v.Key)
-	b.AppendBlob(col+2, v.Value)
+func (KVCodec) EncodeRows(b *BatchBuilder, col int, vs []KV) int {
+	for _, v := range vs {
+		b.AppendBlobString(col, v.Key)
+		b.AppendBlob(col+2, v.Value)
+	}
 	return col + 4
 }
 
 func (KVCodec) DecodeColumn(bt *Batch, col int, out []KV) ([]KV, int, error) {
-	keys, col, err := (StringCodec{}).DecodeColumn(bt, col, make([]string, 0, bt.Rows))
+	keys, col, err := StringCodec{}.DecodeColumn(bt, col, nil)
 	if err != nil {
 		return out, col, err
 	}
-	vals, col, err := (BytesCodec{}).DecodeColumn(bt, col, make([][]byte, 0, bt.Rows))
+	vals, col, err := BytesCodec{}.DecodeColumn(bt, col, nil)
 	if err != nil {
 		return out, col, err
 	}
 	out = growCap(out, len(keys))
 	for i := range keys {
 		out = append(out, KV{Key: keys[i], Value: vals[i]})
+	}
+	return out, col, nil
+}
+
+// view resolves both halves' views once, so an arbitrarily deep tuple
+// pays for interface resolution once per stream, not per batch.
+func (c PairCodec[A, B]) view() (ColumnCodec[Pair[A, B]], bool) {
+	ca, okA := ViewOf(c.A)
+	cb, okB := ViewOf(c.B)
+	if !okA || !okB {
+		return nil, false
+	}
+	return &pairView[A, B]{PairCodec: c, ca: ca, cb: cb}, true
+}
+
+// pairView is a PairCodec's column view: the halves' views plus the
+// half-column vectors its bulk methods reuse from batch to batch.
+type pairView[A, B any] struct {
+	PairCodec[A, B]
+	ca ColumnCodec[A]
+	cb ColumnCodec[B]
+	as []A
+	bs []B
+}
+
+func (v *pairView[A, B]) AppendColKinds(dst []ColKind) []ColKind {
+	return v.cb.AppendColKinds(v.ca.AppendColKinds(dst))
+}
+
+// EncodeRows splits the pairs into per-half column vectors once, then
+// hands each half to its view's bulk loop — two virtual calls per batch,
+// with the inner appends fully concrete.
+func (v *pairView[A, B]) EncodeRows(b *BatchBuilder, col int, vs []Pair[A, B]) int {
+	v.as, v.bs = v.as[:0], v.bs[:0]
+	for i := range vs {
+		v.as = append(v.as, vs[i].First)
+		v.bs = append(v.bs, vs[i].Second)
+	}
+	return v.cb.EncodeRows(b, v.ca.EncodeRows(b, col, v.as), v.bs)
+}
+
+func (v *pairView[A, B]) DecodeColumn(bt *Batch, col int, out []Pair[A, B]) ([]Pair[A, B], int, error) {
+	as, col, err := v.ca.DecodeColumn(bt, col, v.as[:0])
+	v.as = as[:0]
+	if err != nil {
+		return out, col, err
+	}
+	bs, col, err := v.cb.DecodeColumn(bt, col, v.bs[:0])
+	v.bs = bs[:0]
+	if err != nil {
+		return out, col, err
+	}
+	out = growCap(out, len(as))
+	for i := range as {
+		out = append(out, Pair[A, B]{First: as[i], Second: bs[i]})
 	}
 	return out, col, nil
 }
@@ -835,45 +618,91 @@ func growCap[T any](s []T, n int) []T {
 	return grown
 }
 
-// ---- batch writer ----
-
-// BatchWriter serializes values of type T into batch chunks through a
-// columnar codec, one column section per field, flushing when the
-// builder's size estimate reaches Size.
-type BatchWriter[T any] struct {
-	Size  int
-	Emit  func(Chunk) error
-	codec ColumnCodec[T]
-	b     *BatchBuilder
-	tag   uint64
-}
-
-// NewBatchWriter returns a BatchWriter emitting batch chunks of roughly
-// size bytes through emit, or ok=false when codec is not columnar — the
-// caller falls back to the row TypedWriter.
-func NewBatchWriter[T any](codec Codec[T], tag uint64, size int, emit func(Chunk) error) (*BatchWriter[T], bool) {
-	cc, ok := ColumnarOf(codec)
+// AnyView returns a column view of c over values boxed in any — the
+// record shape of the untyped query planner — or ok=false when c has no
+// column view. Like every view, it belongs to one stream.
+func AnyView[T any](c Codec[T]) (ColumnCodec[any], bool) {
+	v, ok := ViewOf(c)
 	if !ok {
 		return nil, false
 	}
+	return &anyView[T]{view: v}, true
+}
+
+type anyView[T any] struct {
+	view ColumnCodec[T]
+	vs   []T
+}
+
+func (a *anyView[T]) Encode(buf []byte, v any) []byte { return a.view.Encode(buf, v.(T)) }
+
+func (a *anyView[T]) Decode(record []byte) (any, int, error) {
+	v, n, err := a.view.Decode(record)
+	return v, n, err
+}
+
+func (a *anyView[T]) AppendColKinds(dst []ColKind) []ColKind { return a.view.AppendColKinds(dst) }
+
+func (a *anyView[T]) EncodeRows(b *BatchBuilder, col int, vs []any) int {
+	a.vs = a.vs[:0]
+	for _, v := range vs {
+		a.vs = append(a.vs, v.(T))
+	}
+	return a.view.EncodeRows(b, col, a.vs)
+}
+
+func (a *anyView[T]) DecodeColumn(bt *Batch, col int, out []any) ([]any, int, error) {
+	vs, col, err := a.view.DecodeColumn(bt, col, a.vs[:0])
+	a.vs = vs[:0]
+	if err != nil {
+		return out, col, err
+	}
+	out = growCap(out, len(vs))
+	for _, v := range vs {
+		out = append(out, v)
+	}
+	return out, col, nil
+}
+
+// ---- batch writer and decoder ----
+
+// BatchWriter packs values into batch chunks through a column view,
+// emitting a chunk each time the builder reaches the chunk size.
+type BatchWriter[T any] struct {
+	size int
+	emit func(Chunk) error
+	view ColumnCodec[T]
+	b    *BatchBuilder
+}
+
+// NewBatchWriter returns a BatchWriter emitting batch chunks of roughly
+// size bytes (DefaultSize when size <= 0) through emit.
+func NewBatchWriter[T any](view ColumnCodec[T], size int, emit func(Chunk) error) *BatchWriter[T] {
 	if size <= 0 {
 		size = DefaultSize
 	}
-	return &BatchWriter[T]{
-		Size:  size,
-		Emit:  emit,
-		codec: cc,
-		b:     GetBatchBuilder(tag, KindsOf(cc)),
-		tag:   tag,
-	}, true
+	return &BatchWriter[T]{size: size, emit: emit, view: view, b: GetBatchBuilder(view.AppendColKinds(nil))}
 }
 
-// Write appends one value as a row of the current batch.
-func (w *BatchWriter[T]) Write(v T) error {
-	w.codec.EncodeColumn(w.b, 0, v)
-	w.b.EndRow()
-	if w.b.Size() >= w.Size {
-		return w.Flush()
+// WriteBatch appends vs as rows, emitting every chunk that fills up.
+// Rows are encoded in runs that fill the open chunk's remaining space at
+// its average row width so far (a first run of 16 rows measures it), so
+// a chunk overshoots the size by about one row, not by a whole run.
+func (w *BatchWriter[T]) WriteBatch(vs []T) error {
+	for len(vs) > 0 {
+		n := 16
+		if w.b.rows > 0 {
+			n = (w.size-w.b.Size())/(w.b.bytes/w.b.rows+1) + 1
+		}
+		n = min(n, len(vs))
+		w.view.EncodeRows(w.b, 0, vs[:n])
+		w.b.EndRows(n)
+		vs = vs[n:]
+		if w.b.Size() >= w.size {
+			if err := w.Flush(); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
@@ -885,10 +714,7 @@ func (w *BatchWriter[T]) Flush() error {
 	}
 	c := w.b.Encode()
 	w.b.Clear()
-	if w.Emit == nil {
-		return nil
-	}
-	return w.Emit(c)
+	return w.emit(c)
 }
 
 // Close flushes and returns the builder to the pool. The writer must not
@@ -900,72 +726,63 @@ func (w *BatchWriter[T]) Close() error {
 	return err
 }
 
-// ---- generic batch → row adapter ----
-
-// BatchReader re-frames a decoded batch as row-encoded records without
-// knowing the schema: each record is the concatenation of the row's
-// per-column encodings, which is exactly the row format every codec in
-// this package produces. The returned record is valid until the next call
-// to Next or Reset.
-type BatchReader struct {
-	bt      *Batch
-	row     int
-	offs    []int
-	pendLen uint64
-	buf     []byte
+// A Decoder turns chunks into values, and is the one decode path every
+// reader of a bag goes through. Row chunks decode record by record
+// through the codec. Batch chunks decode column by column through the
+// codec's column view, after their column kinds are checked against the
+// view's, so a batch written under another schema is ErrCorrupt rather
+// than a panic or a misread. A codec without a column view reads row
+// chunks only. A Decoder belongs to one stream.
+type Decoder[T any] struct {
+	codec Codec[T]
+	view  ColumnCodec[T]
+	kinds []ColKind
+	bt    Batch
+	r     Reader
+	vec   []T
 }
 
-// NewBatchReader returns a BatchReader over bt.
-func NewBatchReader(bt *Batch) *BatchReader {
-	r := new(BatchReader)
-	r.Reset(bt)
-	return r
-}
-
-// Reset re-points the reader at bt, retaining allocations.
-func (r *BatchReader) Reset(bt *Batch) {
-	r.bt, r.row, r.pendLen = bt, 0, 0
-	r.offs = r.offs[:0]
-	for range bt.Cols {
-		r.offs = append(r.offs, 0)
+// NewDecoder returns a Decoder for codec, resolving its column view once.
+func NewDecoder[T any](codec Codec[T]) *Decoder[T] {
+	d := &Decoder[T]{codec: codec}
+	if v, ok := ViewOf(codec); ok {
+		d.view, d.kinds = v, v.AppendColKinds(nil)
 	}
+	return d
 }
 
-// Next returns the next row as a row-encoded record, or io.EOF after the
-// last row. The record aliases an internal buffer reused across calls.
-func (r *BatchReader) Next() ([]byte, error) {
-	if r.row >= r.bt.Rows {
-		return nil, io.EOF
-	}
-	r.buf = r.buf[:0]
-	for i, col := range r.bt.Cols {
-		data, off := col.Data, r.offs[i]
-		switch col.Kind {
-		case ColVarint, ColLen:
-			v, n := binary.Uvarint(data[off:])
-			if n <= 0 {
-				return nil, fmt.Errorf("%w: varint column underflow at row %d", ErrCorrupt, r.row)
+// Decode returns every value of c. The slice is reused by the next call.
+func (d *Decoder[T]) Decode(c Chunk) ([]T, error) {
+	d.vec = d.vec[:0]
+	if !IsBatch(c) {
+		d.r.Reset(c)
+		for {
+			rec, err := d.r.Next()
+			if err != nil {
+				if err == io.EOF {
+					return d.vec, nil
+				}
+				return nil, err
 			}
-			r.buf = append(r.buf, data[off:off+n]...)
-			r.offs[i] = off + n
-			if col.Kind == ColLen {
-				r.pendLen = v
+			v, _, err := d.codec.Decode(rec)
+			if err != nil {
+				return nil, err
 			}
-		case ColFixed8:
-			if off+8 > len(data) {
-				return nil, fmt.Errorf("%w: fixed column underflow at row %d", ErrCorrupt, r.row)
-			}
-			r.buf = append(r.buf, data[off:off+8]...)
-			r.offs[i] = off + 8
-		case ColBytes:
-			end := off + int(r.pendLen)
-			if int(r.pendLen) < 0 || end < off || end > len(data) {
-				return nil, fmt.Errorf("%w: blob extends past bytes column at row %d", ErrCorrupt, r.row)
-			}
-			r.buf = append(r.buf, data[off:end]...)
-			r.offs[i] = end
+			d.vec = append(d.vec, v)
 		}
 	}
-	r.row++
-	return r.buf, nil
+	if d.view == nil {
+		return nil, fmt.Errorf("%w: cannot decode a batch chunk", ErrNotColumnar)
+	}
+	bt, err := DecodeBatch(c, &d.bt)
+	if err != nil {
+		return nil, err
+	}
+	if !slices.EqualFunc(bt.Cols, d.kinds, func(c Col, k ColKind) bool { return c.Kind == k }) {
+		return nil, fmt.Errorf("%w: batch columns do not match the codec's %v", ErrCorrupt, d.kinds)
+	}
+	if d.vec, _, err = d.view.DecodeColumn(bt, 0, d.vec); err != nil {
+		return nil, err
+	}
+	return d.vec, nil
 }

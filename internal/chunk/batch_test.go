@@ -3,6 +3,7 @@ package chunk
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"math"
 	"testing"
@@ -29,23 +30,43 @@ func testRows(n int) []kvTestRow {
 
 func encodeBatch(t testing.TB, rows []kvTestRow, size int) []Chunk {
 	t.Helper()
+	return encodeWith(t, kvTestCodec, rows, size)
+}
+
+// encodeWith packs vs into batch chunks of about size bytes through a
+// column view of codec.
+func encodeWith[T any](t testing.TB, codec Codec[T], vs []T, size int) []Chunk {
+	t.Helper()
+	view, ok := ViewOf(codec)
+	if !ok {
+		t.Fatalf("%T should have a column view", codec)
+	}
 	var chunks []Chunk
-	w, ok := NewBatchWriter[kvTestRow](kvTestCodec, 42, size, func(c Chunk) error {
+	w := NewBatchWriter(view, size, func(c Chunk) error {
 		chunks = append(chunks, c)
 		return nil
 	})
-	if !ok {
-		t.Fatal("kvTestCodec should be columnar")
-	}
-	for _, r := range rows {
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
+	if err := w.WriteBatch(vs); err != nil {
+		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return chunks
+}
+
+// decodeAll decodes chunks through one Decoder of codec.
+func decodeAll[T any](codec Codec[T], chunks []Chunk) ([]T, error) {
+	d := NewDecoder(codec)
+	var out []T
+	for _, c := range chunks {
+		vs, err := d.Decode(c)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, vs...)
+	}
+	return out, nil
 }
 
 func TestBatchRoundTripColumnar(t *testing.T) {
@@ -59,7 +80,13 @@ func TestBatchRoundTripColumnar(t *testing.T) {
 			t.Fatal("batch writer emitted a non-batch chunk")
 		}
 	}
-	got, err := NewSliceIterator[kvTestRow](kvTestCodec, chunks).Collect()
+	for _, c := range chunks {
+		// A chunk overshoots the size by about one row, not by a run.
+		if len(c) > 1<<10+64 {
+			t.Fatalf("batch of %d bytes for a %d-byte chunk size", len(c), 1<<10)
+		}
+	}
+	got, err := decodeAll(kvTestCodec, chunks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,31 +98,6 @@ func TestBatchRoundTripColumnar(t *testing.T) {
 			!bytes.Equal(got[i].Second.Second, rows[i].Second.Second) {
 			t.Fatalf("row %d mismatch: got %+v want %+v", i, got[i], rows[i])
 		}
-	}
-}
-
-// TestBatchRowAdapter checks the generic batch→row re-framing: records
-// produced by BatchReader must be byte-identical to the codec's row
-// encoding, so any row-format consumer can read batch chunks unchanged.
-func TestBatchRowAdapter(t *testing.T) {
-	rows := testRows(200)
-	chunks := encodeBatch(t, rows, DefaultSize)
-	var i int
-	for _, c := range chunks {
-		recs, err := Records(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, rec := range recs {
-			want := kvTestCodec.Encode(nil, rows[i])
-			if !bytes.Equal(rec, want) {
-				t.Fatalf("row %d re-framed as %x, want %x", i, rec, want)
-			}
-			i++
-		}
-	}
-	if i != len(rows) {
-		t.Fatalf("adapter yielded %d rows, want %d", i, len(rows))
 	}
 }
 
@@ -123,10 +125,58 @@ func TestRowReaderRejectsBatch(t *testing.T) {
 	if _, err := r.Next(); err == nil || !isCorrupt(err) {
 		t.Fatalf("row reader on batch chunk: got %v, want ErrCorrupt", err)
 	}
+	if _, err := Records(chunks[0]); err == nil || !isCorrupt(err) {
+		t.Fatalf("Records on batch chunk: got %v, want ErrCorrupt", err)
+	}
 }
 
-// TestCorruptBatchHeader asserts every malformed-header shape surfaces as
-// ErrCorrupt through DecodeBatch, Count, and the Iterator — never a panic.
+// rowOnlyCodec is a Uint64Codec with no column view.
+type rowOnlyCodec struct{}
+
+func (rowOnlyCodec) Encode(buf []byte, v uint64) []byte     { return Uint64Codec{}.Encode(buf, v) }
+func (rowOnlyCodec) Decode(rec []byte) (uint64, int, error) { return Uint64Codec{}.Decode(rec) }
+
+// TestRowOnlyCodecRejectsBatch asserts a codec without a column view
+// still reads row chunks, and that a batch chunk read through it (or a
+// pair with it as a component) is an ErrNotColumnar error.
+func TestRowOnlyCodecRejectsBatch(t *testing.T) {
+	var rows []Chunk
+	tw := NewTypedWriter[uint64](rowOnlyCodec{}, 64, func(c Chunk) error {
+		rows = append(rows, c)
+		return nil
+	})
+	for i := uint64(0); i < 100; i++ {
+		if err := tw.Write(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := decodeAll[uint64](rowOnlyCodec{}, rows); err != nil || len(got) != 100 || got[99] != 99 {
+		t.Fatalf("row-only codec over row chunks: %d values, err %v", len(got), err)
+	}
+	batch := encodeWith[uint64](t, Uint64Codec{}, []uint64{1, 2, 3}, DefaultSize)
+	if _, err := decodeAll[uint64](rowOnlyCodec{}, batch); !errors.Is(err, ErrNotColumnar) {
+		t.Fatalf("row-only codec over a batch chunk: got %v, want ErrNotColumnar", err)
+	}
+	pair := PairCodec[uint64, uint64]{A: Uint64Codec{}, B: rowOnlyCodec{}}
+	if _, ok := ViewOf[Pair[uint64, uint64]](pair); ok {
+		t.Fatal("pair with a row-only half has a column view")
+	}
+}
+
+// decodeWith returns a typed read of one chunk through a fresh Decoder.
+func decodeWith[T any](codec Codec[T]) func(Chunk) error {
+	return func(c Chunk) error {
+		_, err := NewDecoder(codec).Decode(c)
+		return err
+	}
+}
+
+// TestCorruptBatchHeader asserts every malformed-header shape, and every
+// batch whose columns do not match the reading codec, surfaces as
+// ErrCorrupt through the Decoder — never a panic or a silent misread.
 func TestCorruptBatchHeader(t *testing.T) {
 	base := encodeBatch(t, testRows(64), DefaultSize)[0]
 	mutate := func(fn func(c []byte)) Chunk {
@@ -134,27 +184,41 @@ func TestCorruptBatchHeader(t *testing.T) {
 		fn(c)
 		return c
 	}
-	cases := map[string]Chunk{
-		"bad version":  mutate(func(c []byte) { c[len(batchMagic)] = 0x7f }),
-		"bad kind":     mutate(func(c []byte) { c[len(batchMagic)+4] = 0x9f }),
-		"truncated":    base[:len(base)-3],
-		"trailing":     append(append([]byte(nil), base...), 0xaa, 0xbb),
-		"column bound": mutate(func(c []byte) { c[len(batchMagic)+5] = 0xff }),
+	oneVarint := encodeWith[uint64](t, Uint64Codec{}, []uint64{1, 2, 3}, DefaultSize)[0]
+	fixed := encodeWith[uint64](t, Uint64FixedCodec{}, []uint64{1, 2, 3, 4}, DefaultSize)[0]
+	readKV := decodeWith[kvTestRow](kvTestCodec)
+	cases := []struct {
+		name   string
+		c      Chunk
+		read   func(Chunk) error
+		header bool // DecodeBatch itself rejects the chunk
+	}{
+		{"bad version", mutate(func(c []byte) { c[len(batchMagic)] = 0x7f }), readKV, true},
+		{"bad kind", mutate(func(c []byte) { c[len(batchMagic)+4] = 0x9f }), readKV, true},
+		{"truncated", base[:len(base)-3], readKV, true},
+		{"trailing", append(append([]byte(nil), base...), 0xaa, 0xbb), readKV, true},
+		{"column bound", mutate(func(c []byte) { c[len(batchMagic)+5] = 0xff }), readKV, true},
+		{"rows beyond columns", func() Chunk {
+			c := append([]byte(nil), oneVarint...)
+			c[len(batchMagic)+2] = 0x7f // 127 rows over a 3-byte varint column
+			return c
+		}(), decodeWith[uint64](Uint64Codec{}), true},
+		{"pair over one varint column", oneVarint,
+			decodeWith[Pair[uint64, uint64]](PairCodec[uint64, uint64]{A: Uint64Codec{}, B: Uint64Codec{}}), false},
+		{"varint codec over a fixed column", fixed, decodeWith[uint64](Uint64Codec{}), false},
 	}
-	for name, c := range cases {
-		if _, err := DecodeBatch(c, nil); err == nil || !isCorrupt(err) {
-			t.Errorf("%s: DecodeBatch err = %v, want ErrCorrupt", name, err)
+	for _, tc := range cases {
+		if _, err := DecodeBatch(tc.c, nil); tc.header != (err != nil) || (err != nil && !isCorrupt(err)) {
+			t.Errorf("%s: DecodeBatch err = %v, want ErrCorrupt: %v", tc.name, err, tc.header)
+		}
+		if err := tc.read(tc.c); err == nil || !isCorrupt(err) {
+			t.Errorf("%s: typed read err = %v, want ErrCorrupt", tc.name, err)
 		}
 	}
 	// Count answers from the header alone (O(1)), so only header
 	// corruption is visible to it.
-	if _, err := Count(cases["bad version"]); err == nil || !isCorrupt(err) {
+	if _, err := Count(cases[0].c); err == nil || !isCorrupt(err) {
 		t.Errorf("Count on bad version: got %v, want ErrCorrupt", err)
-	}
-	// Iterator over a corrupt batch must surface the error, not panic.
-	it := NewSliceIterator[kvTestRow](kvTestCodec, []Chunk{cases["bad kind"]})
-	if _, err := it.Next(); err == nil || !isCorrupt(err) {
-		t.Fatalf("iterator over corrupt batch: got %v, want ErrCorrupt", err)
 	}
 }
 
@@ -175,15 +239,32 @@ func unwrap(err error) error {
 	return u.Unwrap()
 }
 
+// readAny sends c through DecodeBatch and typed Decoders of several
+// schemas; every read may fail but none may panic.
+func readAny(c Chunk) {
+	_, _ = DecodeBatch(c, nil)
+	_ = decodeWith[kvTestRow](kvTestCodec)(c)
+	_ = decodeWith[Pair[uint64, uint64]](PairCodec[uint64, uint64]{A: Uint64Codec{}, B: Uint64Codec{}})(c)
+	_ = decodeWith[uint64](Uint64Codec{})(c)
+	_ = decodeWith[KV](KVCodec{})(c)
+}
+
 // FuzzBatchRoundTrip drives arbitrary row content through the batch
-// writer and back through both decode paths (columnar and the batch→row
-// adapter), and feeds arbitrary bytes to DecodeBatch: round-trips must be
-// exact and corruption must error, never panic.
+// writer and back through the Decoder, and feeds corrupted batches and
+// arbitrary raw chunks to DecodeBatch and typed Decoders: round-trips
+// must be exact and corruption must error, never panic. The last two
+// seeds are batches whose columns do not match a reading schema.
 func FuzzBatchRoundTrip(f *testing.F) {
-	f.Add(uint64(1), int64(-5), []byte("payload"), false)
-	f.Add(uint64(0), int64(0), []byte{}, true)
-	f.Add(^uint64(0), int64(math.MinInt64), bytes.Repeat([]byte{0x80}, 32), false)
-	f.Fuzz(func(t *testing.T, k uint64, v int64, payload []byte, corrupt bool) {
+	f.Add(uint64(1), int64(-5), []byte("payload"), false, []byte(nil))
+	f.Add(uint64(0), int64(0), []byte{}, true, []byte(nil))
+	f.Add(^uint64(0), int64(math.MinInt64), bytes.Repeat([]byte{0x80}, 32), false, []byte(nil))
+	f.Add(uint64(0), int64(0), []byte{}, false, []byte(encodeWith[uint64](f, Uint64Codec{}, []uint64{1, 2, 3}, DefaultSize)[0]))
+	f.Add(uint64(0), int64(0), []byte{}, false, []byte(encodeWith[uint64](f, Uint64FixedCodec{}, []uint64{1, 2, 3, 4}, DefaultSize)[0]))
+	f.Fuzz(func(t *testing.T, k uint64, v int64, payload []byte, corrupt bool, raw []byte) {
+		if len(raw) > 0 {
+			readAny(raw)
+			return
+		}
 		rows := []kvTestRow{
 			{First: k, Second: Pair[int64, []byte]{First: v, Second: payload}},
 			{First: k ^ 0xdead, Second: Pair[int64, []byte]{First: -v, Second: nil}},
@@ -196,23 +277,14 @@ func FuzzBatchRoundTrip(f *testing.F) {
 		if corrupt && len(payload) > 0 {
 			// Arbitrary single-byte corruption anywhere in the chunk:
 			// decoding may still succeed (payload bytes are opaque) but
-			// must never panic, and row re-framing must stay in bounds.
+			// must never panic.
 			pos := int(k % uint64(len(c)))
 			c = append([]byte(nil), c...)
 			c[pos] ^= payload[0]
-			bt, err := DecodeBatch(c, nil)
-			if err != nil {
-				return
-			}
-			br := NewBatchReader(bt)
-			for {
-				if _, err := br.Next(); err != nil {
-					break
-				}
-			}
+			readAny(c)
 			return
 		}
-		got, err := NewSliceIterator[kvTestRow](kvTestCodec, []Chunk{c}).Collect()
+		got, err := decodeAll(kvTestCodec, []Chunk{c})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,16 +297,6 @@ func FuzzBatchRoundTrip(f *testing.F) {
 				t.Fatalf("row %d mismatch", i)
 			}
 		}
-		// Adapter path: re-framed records must equal the row encodings.
-		recs, err := Records(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, rec := range recs {
-			if want := kvTestCodec.Encode(nil, rows[i]); !bytes.Equal(rec, want) {
-				t.Fatalf("row %d adapter mismatch", i)
-			}
-		}
 	})
 }
 
@@ -243,22 +305,18 @@ func FuzzBatchRoundTrip(f *testing.F) {
 // the one Encode output allocation (plus the iterator's column vectors on
 // decode).
 func TestBatchBuilderPooled(t *testing.T) {
-	kinds := KindsOf[kvTestRow](kvTestCodec)
-	b := GetBatchBuilder(7, kinds)
+	view, _ := ViewOf[kvTestRow](kvTestCodec)
+	b := GetBatchBuilder(view.AppendColKinds(nil))
 	defer PutBatchBuilder(b)
 	rows := testRows(128)
-	// Warm the column buffers once.
-	for _, r := range rows {
-		kvTestCodec.EncodeColumn(b, 0, r)
-		b.EndRow()
-	}
+	// Warm the column buffers (and the view's scratch) once.
+	view.EncodeRows(b, 0, rows)
+	b.EndRows(len(rows))
 	b.Encode()
 	b.Clear()
 	allocs := testing.AllocsPerRun(20, func() {
-		for _, r := range rows {
-			kvTestCodec.EncodeColumn(b, 0, r)
-			b.EndRow()
-		}
+		view.EncodeRows(b, 0, rows)
+		b.EndRows(len(rows))
 		b.Encode()
 		b.Clear()
 	})
@@ -274,15 +332,14 @@ func TestBatchBuilderPooled(t *testing.T) {
 // shuffle scatter path depends on.
 func BenchmarkBatchEncode(b *testing.B) {
 	rows := testRows(1024)
-	bb := GetBatchBuilder(1, KindsOf[kvTestRow](kvTestCodec))
+	view, _ := ViewOf[kvTestRow](kvTestCodec)
+	bb := GetBatchBuilder(view.AppendColKinds(nil))
 	defer PutBatchBuilder(bb)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, r := range rows {
-			kvTestCodec.EncodeColumn(bb, 0, r)
-			bb.EndRow()
-		}
+		view.EncodeRows(bb, 0, rows)
+		bb.EndRows(len(rows))
 		bb.Encode()
 		bb.Clear()
 	}
@@ -293,23 +350,15 @@ func BenchmarkBatchEncode(b *testing.B) {
 func BenchmarkBatchDecodeColumnar(b *testing.B) {
 	rows := testRows(1024)
 	c := encodeBatch(b, rows, DefaultSize)[0]
-	var bt Batch
-	var out []kvTestRow
+	d := NewDecoder[kvTestRow](kvTestCodec)
 	b.ReportAllocs()
 	b.SetBytes(int64(len(c)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p, err := DecodeBatch(c, &bt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		out = out[:0]
-		out, _, err = kvTestCodec.DecodeColumn(p, 0, out)
-		if err != nil {
+		if _, err := d.Decode(c); err != nil {
 			b.Fatal(err)
 		}
 	}
-	_ = out
 }
 
 // BenchmarkReaderReset is the allocs/op guard for Reader reuse: resetting

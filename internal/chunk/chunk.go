@@ -158,28 +158,10 @@ func Count(c Chunk) (int, error) {
 	return n, nil
 }
 
-// Records returns all records framed in c. Batch chunks are re-framed
-// through the generic batch→row adapter; those records are copies (the
-// adapter reuses its buffer), while row-chunk records alias c.
+// Records returns all records framed in the row chunk c; they alias c.
+// Batch chunks have no row framing and return ErrCorrupt: decode them
+// through a Decoder.
 func Records(c Chunk) ([][]byte, error) {
-	if IsBatch(c) {
-		bt, err := DecodeBatch(c, nil)
-		if err != nil {
-			return nil, err
-		}
-		br := NewBatchReader(bt)
-		out := make([][]byte, 0, bt.Rows)
-		for {
-			rec, err := br.Next()
-			if err != nil {
-				if err == io.EOF {
-					return out, nil
-				}
-				return nil, err
-			}
-			out = append(out, append([]byte(nil), rec...))
-		}
-	}
 	r := NewReader(c)
 	var out [][]byte
 	for {

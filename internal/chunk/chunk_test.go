@@ -202,9 +202,17 @@ func TestCodecShortRecord(t *testing.T) {
 	if _, _, err := (Int64Codec{}).Decode(nil); err != ErrShortRecord {
 		t.Fatalf("int: got %v", err)
 	}
+	// A length prefix past MaxInt64 must not wrap into a negative end.
+	huge := []byte{0xb0, 0xbf, 0xba, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 'a'}
+	if _, _, err := (StringCodec{}).Decode(huge); err != ErrShortRecord {
+		t.Fatalf("string with huge length: got %v", err)
+	}
+	if _, _, err := (BytesCodec{}).Decode(huge); err != ErrShortRecord {
+		t.Fatalf("bytes with huge length: got %v", err)
+	}
 }
 
-func TestTypedWriterIterator(t *testing.T) {
+func TestTypedWriterDecoder(t *testing.T) {
 	var chunks []Chunk
 	tw := NewTypedWriter[int64](Int64Codec{}, 64, func(c Chunk) error {
 		chunks = append(chunks, c)
@@ -219,8 +227,7 @@ func TestTypedWriterIterator(t *testing.T) {
 	if err := tw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	it := NewSliceIterator[int64](Int64Codec{}, chunks)
-	vals, err := it.Collect()
+	vals, err := decodeAll[int64](Int64Codec{}, chunks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,10 +241,10 @@ func TestTypedWriterIterator(t *testing.T) {
 	}
 }
 
-func TestIteratorEmptySource(t *testing.T) {
-	it := NewSliceIterator[int64](Int64Codec{}, nil)
-	if _, err := it.Next(); err != io.EOF {
-		t.Fatalf("got %v, want EOF", err)
+func TestDecoderEmptyChunk(t *testing.T) {
+	vals, err := NewDecoder[int64](Int64Codec{}).Decode(nil)
+	if err != nil || len(vals) != 0 {
+		t.Fatalf("got %v, %v; want no values", vals, err)
 	}
 }
 

@@ -3,12 +3,9 @@ package plan
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 
-	"repro/internal/bag"
-	"repro/internal/chunk"
 	"repro/internal/core"
 	"repro/internal/shuffle"
 )
@@ -580,86 +577,6 @@ func (c *compiler) emitTask(s *stage) {
 	c.app.AddTask(spec)
 }
 
-// runStage executes one compiled stage inside a worker. All per-run
-// state (aggregation maps, top-k buffers, build tables) is created here,
-// so any number of workers run the same stage concurrently. Stages whose
-// input codec supports the columnar batch layout run the vectorized loop
-// (vector.go); everything else streams record-at-a-time. Both paths
-// produce identical records — the choice is purely physical.
-func runStage(tc *core.TaskCtx, s *stage) error {
-	builds := make(map[*Node]map[uint64][]any, len(s.scans))
-	for i, b := range s.scans {
-		m, err := loadBuild(tc, i, b)
-		if err != nil {
-			return err
-		}
-		for _, op := range s.ops {
-			if op.kind == opJoin && op.in[0] == b.node {
-				builds[op] = m
-			}
-		}
-	}
-	sinkFn, err := stageVecSink(tc, s)
-	if err != nil {
-		return err
-	}
-	if in := columnarOf(s.inCodec); in != nil && !s.finalize {
-		// Batch loop: the vectorizable prefix runs over whole vectors;
-		// the remaining ops and the sink form the per-record tail.
-		feed, finishAll := pipeline(lowerOps(s.ops[vecPrefixLen(s.ops):], builds), sinkFn)
-		return runStageVec(tc, s, in, feed, finishAll)
-	}
-	feed, finishAll := pipeline(lowerOps(s.ops, builds), sinkFn)
-	if s.finalize {
-		if err := drainFinalized(tc, s, feed); err != nil {
-			return err
-		}
-	} else {
-		if err := forEachConsume(tc, 0, s.inCodec, feed); err != nil {
-			return err
-		}
-	}
-	return finishAll()
-}
-
-// stageSink builds the tail write function: a partitioned shuffle writer
-// when the stage feeds an edge, a plain record writer otherwise.
-func stageSink(tc *core.TaskCtx, s *stage) (func(any) error, error) {
-	codec := s.outCodec
-	if s.edgeKeyFn == nil {
-		w := tc.Writer(0)
-		var buf []byte
-		return func(v any) error {
-			buf = codec.EncodeAny(buf[:0], v)
-			return w.Append(buf)
-		}, nil
-	}
-	spec := tc.OutputBagSpec(0)
-	if spec == nil || spec.Partitions <= 0 {
-		return nil, fmt.Errorf("plan: stage %s output %q is not partitioned", s.name, tc.OutputName(0))
-	}
-	key := s.edgeKeyFn
-	w := shuffle.NewWriter(tc.Context(), shuffle.WriterConfig{
-		Store:       tc.Store(),
-		Edge:        tc.OutputName(0),
-		Parts:       spec.Partitions,
-		WriterID:    tc.Blueprint().ID,
-		PollEvery:   spec.PollEvery,
-		SketchEvery: spec.SketchEvery,
-		Obs:         tc.Obs(),
-		Job:         tc.Job(),
-		OnSpans:     tc.ShuffleSpanHook(),
-	})
-	tc.OnFinish(w.Close)
-	var rbuf []byte
-	var kb [8]byte
-	return func(v any) error {
-		binary.LittleEndian.PutUint64(kb[:], key(v))
-		rbuf = codec.EncodeAny(rbuf[:0], v)
-		return w.Write(kb[:], rbuf)
-	}, nil
-}
-
 // KeyBytes returns the canonical routing-key byte encoding of a uint64
 // plan key (little-endian, matching the compiled shuffle writers). Warm
 // statistics fed to the planner must use the same encoding.
@@ -667,156 +584,6 @@ func KeyBytes(k uint64) []byte {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], k)
 	return b[:]
-}
-
-// forEachConsume streams the consumed input through fn.
-func forEachConsume(tc *core.TaskCtx, input int, codec AnyCodec, fn func(any) error) error {
-	for {
-		ch, err := tc.Remove(input)
-		if err == bag.ErrEmpty {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := feedChunk(ch, codec, fn); err != nil {
-			return err
-		}
-	}
-}
-
-// forEachScan streams scan input i through fn (reading, not consuming).
-func forEachScan(tc *core.TaskCtx, scanInput int, codec AnyCodec, fn func(any) error) error {
-	for {
-		ch, err := tc.Scan(scanInput)
-		if err == bag.ErrEmpty {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := feedChunk(ch, codec, fn); err != nil {
-			return err
-		}
-	}
-}
-
-// feedChunk streams one chunk's records through fn. Batch chunks decode
-// through the codec's columnar path when it has one, and re-frame
-// record-at-a-time otherwise — the row↔batch adapter that lets finalize
-// stages, join build loads, and row-only codecs read batch-encoded bags.
-func feedChunk(ch chunk.Chunk, codec AnyCodec, fn func(any) error) error {
-	if chunk.IsBatch(ch) {
-		if cc := columnarOf(codec); cc != nil {
-			var bt chunk.Batch
-			p, err := chunk.DecodeBatch(ch, &bt)
-			if err != nil {
-				return err
-			}
-			vec, err := cc.DecodeBatchAny(p, nil)
-			if err != nil {
-				return err
-			}
-			for _, v := range vec {
-				if err := fn(v); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		recs, err := chunk.Records(ch)
-		if err != nil {
-			return err
-		}
-		for _, rec := range recs {
-			v, err := codec.DecodeAny(rec)
-			if err != nil {
-				return err
-			}
-			if err := fn(v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	r := chunk.NewReader(ch)
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		v, err := codec.DecodeAny(rec)
-		if err != nil {
-			return err
-		}
-		if err := fn(v); err != nil {
-			return err
-		}
-	}
-}
-
-// loadBuild hash-loads a join build side: join key -> build records. A
-// GroupBy build side is finalized while loading (partials of one key
-// merge into a single accumulator before keying).
-func loadBuild(tc *core.TaskCtx, scanInput int, b scanSide) (map[uint64][]any, error) {
-	if b.node.kind == opGroupBy {
-		g := b.node.gb
-		merged := make(map[uint64]any)
-		if err := forEachScan(tc, scanInput, b.node.codec, func(v any) error {
-			k, acc := g.SplitPartial(v)
-			if prev, ok := merged[k]; ok {
-				merged[k] = g.Merge(prev, acc)
-			} else {
-				merged[k] = acc
-			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		out := make(map[uint64][]any, len(merged))
-		for k, acc := range merged {
-			rec := g.MakePartial(k, acc)
-			out[b.joinKey(rec)] = append(out[b.joinKey(rec)], rec)
-		}
-		return out, nil
-	}
-	out := make(map[uint64][]any)
-	if err := forEachScan(tc, scanInput, b.node.codec, func(v any) error {
-		k := b.joinKey(v)
-		out[k] = append(out[k], v)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// drainFinalized drains a GroupBy partial bag completely, merges
-// partials by key, and feeds the finalized records through the pipeline
-// in key order. The stage is NoClone, so one worker sees every partial.
-func drainFinalized(tc *core.TaskCtx, s *stage, feed func(any) error) error {
-	g := s.inNode.gb
-	merged := make(map[uint64]any)
-	if err := forEachConsume(tc, 0, s.inCodec, func(v any) error {
-		k, acc := g.SplitPartial(v)
-		if prev, ok := merged[k]; ok {
-			merged[k] = g.Merge(prev, acc)
-		} else {
-			merged[k] = acc
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	for _, k := range sortedKeys(merged) {
-		if err := feed(g.MakePartial(k, merged[k])); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ---- explain ----

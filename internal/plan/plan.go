@@ -29,15 +29,20 @@
 // typed, generic public surface is package repro/hurricane/q.
 package plan
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/chunk"
+)
 
 // AnyCodec is the untyped record codec the planner threads between
-// operators. The typed q package adapts chunk.Codec[T] implementations.
+// operators: a source of column views over records boxed in any
+// (chunk.AnyView adapts a typed codec; the q package does so for every
+// dataset). Each worker asks for its own views, since a view carries
+// per-stream scratch. A codec with no column view (ok=false) cannot be
+// planned: Compile rejects it.
 type AnyCodec interface {
-	// EncodeAny appends the encoded record to dst.
-	EncodeAny(dst []byte, v any) []byte
-	// DecodeAny parses one whole record.
-	DecodeAny(record []byte) (any, error)
+	View() (chunk.ColumnCodec[any], bool)
 }
 
 // opKind enumerates the logical operators.
@@ -332,6 +337,9 @@ func (p *Plan) analyze() (*analysis, error) {
 		}
 		if n.codec == nil {
 			return nil, fmt.Errorf("plan %q: node %d (%s) has no codec", p.name, n.id, n.kind)
+		}
+		if _, ok := n.codec.View(); !ok {
+			return nil, fmt.Errorf("plan %q: node %d (%s): %w", p.name, n.id, n.kind, chunk.ErrNotColumnar)
 		}
 		for i, in := range n.in {
 			if in == nil {

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -13,11 +14,12 @@ import (
 // tCodec adapts a typed chunk codec for tests.
 type tCodec[T any] struct{ c chunk.Codec[T] }
 
-func (a tCodec[T]) EncodeAny(dst []byte, v any) []byte { return a.c.Encode(dst, v.(T)) }
-func (a tCodec[T]) DecodeAny(rec []byte) (any, error) {
-	v, _, err := a.c.Decode(rec)
-	return v, err
-}
+func (a tCodec[T]) View() (chunk.ColumnCodec[any], bool) { return chunk.AnyView(a.c) }
+
+// rowOnlyCodec is an AnyCodec with no column view.
+type rowOnlyCodec struct{}
+
+func (rowOnlyCodec) View() (chunk.ColumnCodec[any], bool) { return nil, false }
 
 var (
 	pairCodec = tCodec[chunk.Pair[uint64, uint64]]{chunk.PairCodec[uint64, uint64]{A: chunk.Uint64Codec{}, B: chunk.Uint64Codec{}}}
@@ -442,6 +444,15 @@ func TestValidationErrors(t *testing.T) {
 		p1.Sink(j, "out")
 		if _, err := Compile(p1, Options{}); err == nil || !strings.Contains(err.Error(), "cross") {
 			t.Fatalf("want cross-plan error, got %v", err)
+		}
+	})
+	t.Run("row-only codec", func(t *testing.T) {
+		p := New("v")
+		src := p.Scan("in", pairCodec)
+		m := p.Map(src, rowOnlyCodec{}, func(v any) (any, error) { return v, nil })
+		p.Sink(m, "out")
+		if _, err := Compile(p, Options{}); !errors.Is(err, chunk.ErrNotColumnar) {
+			t.Fatalf("want ErrNotColumnar for a codec without a column view, got %v", err)
 		}
 	})
 	t.Run("self join", func(t *testing.T) {

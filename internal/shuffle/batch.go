@@ -7,10 +7,10 @@ import (
 	"repro/internal/chunk"
 )
 
-// Batch-at-a-time producer path. The typed scatter layer (hurricane
-// package) computes the routing vector for a whole batch in one pass,
-// appends each row into a per-partition batch builder, and hands the
-// encoded batch chunks back through InsertBatchChunk — so the per-record
+// Batch-at-a-time producer path. A producer computes the routing vector
+// for a whole batch in one pass (PartitionBatch, PartitionBatchUint64),
+// and a BatchScatter appends each row into a per-leaf batch builder and
+// inserts the encoded batch chunks through InsertBatchChunk — so the per-record
 // work drops to one route computation and a few column appends, with the
 // control-plane duties (map polling, sketch feeding, stat pushes) paid
 // once per batch instead of amortized per record.
@@ -266,4 +266,130 @@ func (w *Writer) InsertBatchChunk(ref RouteRef, c chunk.Chunk, rows int) error {
 	w.bytes += uint64(len(c))
 	w.batches++
 	return nil
+}
+
+// BatchScatter writes routed batches of typed records to an edge's
+// leaves. Rows are grouped by routing decision, and each group is
+// bulk-encoded column-major into its leaf's pooled batch builder, which
+// is inserted as a batch chunk once it reaches the chunk size. Row order
+// within a leaf is stream order. It is the one batch scatter: the typed
+// PartitionedWriter.WriteBatch and the query planner's edge sink both
+// write through it. A BatchScatter belongs to one producer, like its
+// column view.
+type BatchScatter[T any] struct {
+	w     *Writer
+	view  chunk.ColumnCodec[T]
+	kinds []chunk.ColKind
+	size  int
+	// Base partitions — the overwhelmingly common routing outcome — index
+	// a dense slice; isolation and sub-partition refs take the map (a
+	// struct-keyed map lookup per record is measurable at batch rates).
+	base    []*scatterLeaf
+	mapped  map[RouteRef]*scatterLeaf
+	touched []*scatterLeaf
+	rows    []T
+}
+
+// scatterLeaf is one routing decision's open batch and the row indices
+// routed to it by the current Write.
+type scatterLeaf struct {
+	ref RouteRef
+	b   *chunk.BatchBuilder
+	idx []int32
+}
+
+// NewBatchScatter returns a scatter over w encoding rows through view and
+// flushing leaf batches at size bytes.
+func NewBatchScatter[T any](w *Writer, view chunk.ColumnCodec[T], size int) *BatchScatter[T] {
+	return &BatchScatter[T]{w: w, view: view, kinds: view.AppendColKinds(nil), size: size,
+		mapped: make(map[RouteRef]*scatterLeaf)}
+}
+
+// Write scatters vs, where refs[i] is the routing decision for vs[i] (as
+// returned by PartitionBatch or PartitionBatchUint64).
+func (s *BatchScatter[T]) Write(vs []T, refs []RouteRef) error {
+	s.touched = s.touched[:0]
+	for i, ref := range refs {
+		var l *scatterLeaf
+		if ref.Iso < 0 && ref.Sub < 0 && ref.Part < len(s.base) {
+			l = s.base[ref.Part] // the inlined common case of leaf
+		} else {
+			l = s.leaf(ref)
+		}
+		if len(l.idx) == 0 {
+			s.touched = append(s.touched, l)
+		}
+		l.idx = append(l.idx, int32(i))
+	}
+	// Every touched leaf is encoded even after a failed insert, so no
+	// leaf keeps this batch's row indices into the next Write.
+	var firstErr error
+	for _, l := range s.touched {
+		s.rows = s.rows[:0]
+		for _, i := range l.idx {
+			s.rows = append(s.rows, vs[i])
+		}
+		l.idx = l.idx[:0]
+		if l.b == nil {
+			l.b = chunk.GetBatchBuilder(s.kinds)
+		}
+		s.view.EncodeRows(l.b, 0, s.rows)
+		l.b.EndRows(len(s.rows))
+		if firstErr == nil && l.b.Size() >= s.size {
+			firstErr = s.flush(l)
+		}
+	}
+	return firstErr
+}
+
+func (s *BatchScatter[T]) leaf(ref RouteRef) *scatterLeaf {
+	if ref.Iso >= 0 || ref.Sub >= 0 {
+		l := s.mapped[ref]
+		if l == nil {
+			l = &scatterLeaf{ref: ref}
+			s.mapped[ref] = l
+		}
+		return l
+	}
+	for ref.Part >= len(s.base) {
+		s.base = append(s.base, &scatterLeaf{ref: RouteRef{Iso: -1, Part: len(s.base), Sub: -1}})
+	}
+	return s.base[ref.Part]
+}
+
+// flush encodes and inserts one leaf's pending batch.
+func (s *BatchScatter[T]) flush(l *scatterLeaf) error {
+	rows := l.b.Rows()
+	if rows == 0 {
+		return nil
+	}
+	c := l.b.Encode()
+	l.b.Clear()
+	return s.w.InsertBatchChunk(l.ref, c, rows)
+}
+
+// Close flushes every leaf's pending batch, returns the builders to the
+// pool, and closes the underlying Writer.
+func (s *BatchScatter[T]) Close() error {
+	var firstErr error
+	release := func(l *scatterLeaf) {
+		if l.b == nil {
+			return
+		}
+		if err := s.flush(l); err != nil && firstErr == nil {
+			firstErr = err
+		}
+		chunk.PutBatchBuilder(l.b)
+		l.b = nil
+	}
+	for _, l := range s.base {
+		release(l)
+	}
+	for _, l := range s.mapped {
+		release(l)
+	}
+	if err := s.w.Close(); err != nil && firstErr == nil {
+		firstErr = err
+	}
+	return firstErr
 }

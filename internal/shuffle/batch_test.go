@@ -72,11 +72,11 @@ func TestPartitionBatchMatchesRowRouting(t *testing.T) {
 		perRef[ref]++
 	}
 	for ref, rows := range perRef {
-		b := chunk.NewBatchBuilder(0, []chunk.ColKind{chunk.ColVarint})
+		b := chunk.NewBatchBuilder([]chunk.ColKind{chunk.ColVarint})
 		for i := 0; i < rows; i++ {
 			b.AppendUvarint(0, uint64(i))
-			b.EndRow()
 		}
+		b.EndRows(rows)
 		if err := w.InsertBatchChunk(ref, b.Encode(), rows); err != nil {
 			t.Fatal(err)
 		}
